@@ -19,7 +19,6 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +150,6 @@ def _poly_divmod_q(a, b):
     return _strip(q), r
 
 
-def _poly_gcd_q(a, b):
-    a, b = _strip(a), _strip(b)
-    while b:
-        _, r = _poly_divmod_q(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def _poly_ext_gcd_q(a, m):
     # returns (g, s) with s*a = g modulo m
     r0, r1 = _strip(list(m)), _strip(list(a))
@@ -173,41 +161,6 @@ def _poly_ext_gcd_q(a, m):
     return r0, s0
 
 
-def _has_rational_root(int_coeffs):
-    # rational root test on an integer coefficient list, constant first
-    coeffs = _strip(int_coeffs)
-    if not coeffs:
-        return True
-    # pull out x = 0 roots
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k > 0:
-        return True
-    a0, an = abs(coeffs[0]), abs(coeffs[-1])
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for sgn in (1, -1):
-                x = Fraction(sgn * p, q)
-                acc = Fraction(0)
-                for c in reversed(coeffs):
-                    acc = acc * x + c
-                if acc == 0:
-                    return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Field descriptors and field elements
 # ---------------------------------------------------------------------------
@@ -217,9 +170,9 @@ class FieldDescriptor:
     """The coefficient field: the rationals, or one simple extension of them.
 
     ``minimal_polynomial`` is a monic coefficient tuple (constant term first)
-    of degree >= 2, present only for extensions.  Irreducibility is the
-    caller's assertion; construction runs only the cheap necessary checks
-    (square-freeness and absence of a rational root).
+    of degree >= 2, present only for extensions.  ``simple_extension`` proves
+    it irreducible over Q by exact factorization and refuses it otherwise,
+    since a reducible one presents a ring with zero divisors, not a field.
     """
 
     kind: str
@@ -237,12 +190,11 @@ class FieldDescriptor:
             raise PreconditionError("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise PreconditionError("minimal polynomial must be monic")
-        deriv = _strip([i * coeffs[i] for i in range(1, len(coeffs))])
-        if len(_poly_gcd_q(list(coeffs), deriv)) != 1:
-            raise PreconditionError("minimal polynomial is not square-free")
-        den = lcm(*(c.denominator for c in coeffs))
-        if _has_rational_root([int(c * den) for c in coeffs]):
-            raise PreconditionError("minimal polynomial has a rational root")
+        from sympy import QQ as SQQ
+        from sympy.polys.rings import ring
+
+        if not ring("_g", SQQ)[0].from_list(_sympy_qq(coeffs)).is_irreducible:
+            raise PreconditionError("minimal polynomial is not irreducible over Q")
         return FieldDescriptor("simple-extension", generator_name, coeffs)
 
     @property
@@ -1256,16 +1208,26 @@ def _bareiss_det(mat, variables, descriptor):
 # Univariate factorization kernel (the one bought dependency: sympy)
 # ---------------------------------------------------------------------------
 
+def _sympy_qq(fractions):
+    """Rationals, constant term first, as sympy QQ elements, leading term first."""
+    from sympy import QQ as SQQ
+
+    return [SQQ(c.numerator, c.denominator) for c in reversed(fractions)]
+
+
 def factor_univariate(coeffs, descriptor):
     """Monic irreducible factorization of a univariate polynomial over the field.
 
     ``coeffs``: FieldElem (or rational) list, constant term first.  Returns
     (unit FieldElem, list of (factor coefficient list, multiplicity)) with
-    monic factors over ``descriptor``.  Over a simple extension the
-    factorization is delegated to sympy's algebraic-field routines; if they
-    cannot run, ExtensionRequiredError is raised.
+    monic factors over ``descriptor``.  Both fields go through sympy's sparse
+    univariate ring: over QQ, or over QQ[g]/(minimal polynomial), where the
+    factorization is norm-based and exact.  If sympy cannot factor over the
+    field, ExtensionRequiredError is raised.
     """
-    import sympy
+    from sympy import QQ as SQQ, Poly, Symbol
+    from sympy.polys.polyerrors import DomainError
+    from sympy.polys.rings import ring
 
     coeffs = [c if isinstance(c, FieldElem) else FieldElem.of(c, descriptor) for c in coeffs]
     while coeffs and coeffs[-1].is_zero:
@@ -1274,52 +1236,34 @@ def factor_univariate(coeffs, descriptor):
         raise PreconditionError("factorization of the zero polynomial")
     if len(coeffs) == 1:
         return coeffs[0], []
-    z = sympy.Symbol("_z")
-    if not descriptor.is_extension:
-        expr = sum(sympy.Rational(c.as_fraction()) * z ** i for i, c in enumerate(coeffs))
-        _, factors = sympy.factor_list(sympy.Poly(expr, z, domain="QQ"))
-        out = []
-        for fac, mult in factors:
-            fc = [Fraction(c.p, c.q) for c in fac.all_coeffs()[::-1]]
-            lead = fc[-1]
-            out.append(([FieldElem.of(c / lead, descriptor) for c in fc], mult))
-        return coeffs[-1], out
-    # extension field: delegate to sympy over QQ(alpha)
+    if descriptor.is_extension:
+        dom = SQQ.alg_field_from_poly(
+            Poly(_sympy_qq(descriptor.minimal_polynomial), Symbol("_g"), domain=SQQ))
+        rep = [dom(_sympy_qq(c.coefficients)) for c in reversed(coeffs)]
+    else:
+        dom = SQQ
+        rep = _sympy_qq([c.as_fraction() for c in coeffs])
     try:
-        g = sympy.Symbol("_g")
-        mp_expr = sum(sympy.Rational(c) * g ** i for i, c in enumerate(descriptor.minimal_polynomial))
-        alpha = sympy.CRootOf(sympy.Poly(mp_expr, g), 0)
-        dom = sympy.QQ.algebraic_field(alpha)
-        expr = 0
-        for i, c in enumerate(coeffs):
-            celt = sum(sympy.Rational(q) * alpha ** j for j, q in enumerate(c.coefficients))
-            expr += celt * z ** i
-        poly = sympy.Poly(expr, z, domain=dom)
-        _, factors = poly.factor_list()
-
-        def back(c):
-            c = dom.convert(c)
-            rep = c.to_list() if hasattr(c, "to_list") else list(c.rep)
-            fr = [Fraction(int(q.numerator), int(q.denominator)) for q in rep]
-            return FieldElem(descriptor, fr[::-1])
-
-        out = []
-        for fac, mult in factors:
-            felems = [back(c) for c in fac.all_coeffs()[::-1]]
-            lead = felems[-1]
-            out.append(([c / lead for c in felems], mult))
-        return coeffs[-1], out
-    except Exception as exc:  # sympy could not produce a certified split
+        _, factors = ring("_z", dom)[0].from_list(rep).factor_list()
+    except (DomainError, NotImplementedError) as exc:  # sympy has no algorithm here
         raise ExtensionRequiredError(
             f"cannot factor over {descriptor!r}: {exc}",
             polynomial=[tuple(c.coefficients) for c in coeffs],
             descriptor=descriptor)
 
+    def back(a):
+        qs = a.to_list() if descriptor.is_extension else [a]
+        return FieldElem(descriptor, [Fraction(int(q.numerator), int(q.denominator))
+                                      for q in reversed(qs)])
+
+    return coeffs[-1], [([back(a) for a in reversed(fac.monic().to_dense())], mult)
+                        for fac, mult in factors]
+
 
 _FRESH_NAMES = ("theta", "omega", "zeta", "eta", "xi")
 
 
-def univariate_roots(coeffs, descriptor, allow_extension=True, name_hint=None):
+def univariate_roots(coeffs, descriptor):
     """Roots of a univariate polynomial, extending the field when necessary.
 
     Returns a list of (root, multiplicity, descriptor, conjugacy) where
@@ -1327,7 +1271,7 @@ def univariate_roots(coeffs, descriptor, allow_extension=True, name_hint=None):
     Over the rationals an irreducible factor of degree e >= 2 contributes one
     root generating a fresh degree-e extension with conjugacy e; over an
     extension, factors that remain nonlinear raise ExtensionRequiredError
-    (no towers), as does allow_extension=False.
+    (no towers).
     """
     unit, factors = factor_univariate(coeffs, descriptor)
     out = []
@@ -1340,17 +1284,12 @@ def univariate_roots(coeffs, descriptor, allow_extension=True, name_hint=None):
             root = -fac[0]
             out.append((root, mult, descriptor, 1))
             continue
-        if descriptor.is_extension or not allow_extension:
+        if descriptor.is_extension:
             raise ExtensionRequiredError(
                 "roots require a further field extension",
                 polynomial=[tuple(c.coefficients) for c in fac],
                 descriptor=descriptor)
-        if name_hint:
-            name = name_hint if fresh == 0 else f"{name_hint}{fresh}"
-        elif fresh < len(_FRESH_NAMES):
-            name = _FRESH_NAMES[fresh]
-        else:
-            name = f"{_FRESH_NAMES[0]}{fresh}"
+        name = _FRESH_NAMES[fresh] if fresh < len(_FRESH_NAMES) else f"{_FRESH_NAMES[0]}{fresh}"
         fresh += 1
         ext = FieldDescriptor.simple_extension(name, [c.as_fraction() for c in fac])
         out.append((FieldElem.generator(ext), mult, ext, deg))

@@ -50,7 +50,7 @@ class LocalMultiplicity:
     """Colength of (f, g) at a point, with the algorithm that produced it."""
 
     value: object  # int >= 0, or INFINITE
-    method: str    # "fulton-recursive" | "puiseux-oracle"
+    method: str    # "fulton-recursive"
 
     @property
     def is_finite(self):

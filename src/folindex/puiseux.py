@@ -31,6 +31,7 @@ from .exactcore import (
     PreconditionError,
     QQ,
     ResourceCapError,
+    _FRESH_NAMES,
     divexact,
     factor_univariate,
     squarefree_at,
@@ -38,7 +39,6 @@ from .exactcore import (
     translate_to_origin,
 )
 
-_FRESH_NAMES = ("theta", "omega", "zeta", "eta", "xi")
 _DEPTH_CAP = 1000
 
 

@@ -1,9 +1,13 @@
 """Command-line driver: problem files in, reports out, exit codes honest."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import folindex
 import folindex.cli as cli
 from folindex.verify import GlobalReport
 
@@ -227,6 +231,31 @@ def test_non_invariant_divisor(tmp_path):
                          "divisor": "x*y*z"}}
     code, _ = run(tmp_path, ["verify", "--theorem", "seh"], doc)
     assert code == 2
+
+
+def test_reducible_minpoly_is_refused(tmp_path):
+    # over r^2 - 2 the index is 1, over r^2 - 3 it is 2: not a field, no answer
+    doc = {"variables": ["x", "y"],
+           "field": {"generator": "r", "minpoly": "r^4 - 5*r^2 + 6"},
+           "germ": {"vector_field": ["(r^2-2)*x + y", "(r^2-3)*x + y^2"]}}
+    code, _ = run(tmp_path, ["index", "--kind", "ph"], doc)
+    assert code == 2
+
+
+def test_minpoly_with_large_constant_term_finishes(tmp_path):
+    # a rational-root search by trial division up to sqrt(|a0|) never ends here
+    doc = {"variables": ["x", "y"],
+           "field": {"generator": "r", "minpoly": "r^2 - 1000000000000000000000000000057"},
+           "germ": {"vector_field": ["x - r*y", "y + r*x"]}}
+    src = os.path.dirname(os.path.dirname(folindex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "folindex.cli", "index", "--kind", "ph",
+         "--input", write_problem(tmp_path, doc)],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PH = 1")
 
 
 # ------------------------------------------------------------------ exit 3

@@ -79,6 +79,9 @@ def test_extension_constructor_guards():
     # degree below 2 never defines a proper extension
     with pytest.raises(PreconditionError):
         FieldDescriptor.simple_extension("s", [Fraction(-2), Fraction(1)])
+    # (s^2 - 2)(s^2 - 3): square-free, no rational root, still reducible
+    with pytest.raises(PreconditionError):
+        FieldDescriptor.simple_extension("s", [6, 0, -5, 0, 1])
 
 
 def test_no_towers():
@@ -123,6 +126,36 @@ def test_factor_univariate_over_extension():
     assert sorted(len(f) - 1 for f, _ in factors) == [1, 1]
     roots = sorted((-f[0] / f[1] for f, _ in factors), key=lambda e: e.coefficients)
     assert roots == [-r, r]
+
+
+def test_factor_over_extension_has_no_numeric_step(monkeypatch):
+    # field_isomorphism is sympy's PSLQ/evalf route between number fields
+    import sympy.polys.numberfields.subfield as subfield
+
+    def numeric(*args, **kwargs):
+        raise AssertionError("numeric field isomorphism on the factoring path")
+
+    monkeypatch.setattr(subfield, "field_isomorphism", numeric)
+    k = FieldDescriptor.simple_extension("t", [1, 1, 0, 0, 0, 0, 1])
+    t = FieldElem.generator(k)
+    unit, factors = factor_univariate([-(t * t), fe(0, k), fe(1, k)], k)
+    assert unit == fe(1, k)
+    assert factors == [([-t, fe(1, k)], 1), ([t, fe(1, k)], 1)]
+
+
+@pytest.mark.parametrize("desc", [QQ, SQRT2], ids=["QQ", "QQ(r)"])
+def test_factor_univariate_refuses_only_when_sympy_cannot_factor(monkeypatch, desc):
+    from sympy.polys.polyerrors import DomainError
+    from sympy.polys.rings import PolyElement
+
+    coeffs = [fe(-3, desc), fe(0, desc), fe(1, desc)]
+    for raised, seen in ((DomainError, ExtensionRequiredError), (TypeError, TypeError)):
+        def failing(self, raised=raised):
+            raise raised("from factor_list")
+
+        monkeypatch.setattr(PolyElement, "factor_list", failing)
+        with pytest.raises(seen):
+            factor_univariate(coeffs, desc)
 
 
 # ----------------------------------------------------------------- poly ring
