@@ -45,6 +45,7 @@ from .exactcore import (
     ParseError,
     PreconditionError,
     ResourceCapError,
+    _univariate_coeffs,
     parse_poly,
 )
 from .foliation import from_affine
@@ -128,7 +129,7 @@ def _parse_field(doc):
     if not isinstance(gen, str) or not _NAME_RE.match(gen):
         raise ParseError("field generator must be an identifier")
     minpoly = parse_poly(f["minpoly"], (gen,))
-    coeffs = [c.constant_value().as_fraction() for c in minpoly.coeffs_in(gen)]
+    coeffs = [c.as_fraction() for c in _univariate_coeffs(minpoly, gen)]
     if len(coeffs) < 3:
         raise ParseError("minimal polynomial must have degree at least 2")
     lead = coeffs[-1]

@@ -89,8 +89,9 @@ class ExtensionRequiredError(PreconditionError):
 
 
 # ---------------------------------------------------------------------------
-# Rational univariate helpers (coefficient lists, constant term first).
-# These run below FieldElem: plain Fraction arithmetic.
+# Univariate helpers (coefficient lists, constant term first).  The _q
+# helpers run below FieldElem on plain Fractions; _poly_divmod needs only
+# + - * / and comparison with 0, so it also divides lists of FieldElems.
 # ---------------------------------------------------------------------------
 
 def _strip(coeffs):
@@ -111,20 +112,6 @@ def _poly_mul_q(a, b):
     return _strip(out)
 
 
-def _poly_rem_q(a, m):
-    # remainder of a modulo monic m
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] -= c * m[i]
-        a.pop()
-    return _strip(a)
-
-
 def _poly_sub_q(a, b):
     n = max(len(a), len(b))
     a = list(a) + [Fraction(0)] * (n - len(a))
@@ -132,22 +119,22 @@ def _poly_sub_q(a, b):
     return _strip([x - y for x, y in zip(a, b)])
 
 
-def _poly_divmod_q(a, b):
+def _poly_divmod(a, b):
     # b need not be monic; field division
-    a, b = _strip(a), _strip(b)
+    r, b = _strip(a), _strip(b)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        c = r[-1] / lb
-        shift = len(r) - 1 - db
-        q[shift] = c
-        for i in range(db + 1):
-            r[shift + i] -= c * b[i]
-        r = _strip(r)
-    return _strip(q), r
+    q = [Fraction(0)] * max(0, len(r) - db)
+    while len(r) > db:
+        c = r.pop()
+        if c != 0:
+            c = c / lb
+            shift = len(r) - db
+            q[shift] = c
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+    return _strip(q), _strip(r)
 
 
 def _poly_ext_gcd_q(a, m):
@@ -155,7 +142,7 @@ def _poly_ext_gcd_q(a, m):
     r0, r1 = _strip(list(m)), _strip(list(a))
     s0, s1 = [], [Fraction(1)]
     while r1:
-        q, r = _poly_divmod_q(r0, r1)
+        q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_sub_q(s0, _poly_mul_q(q, s1))
     return r0, s0
@@ -215,6 +202,21 @@ _QQ = FieldDescriptor("rationals")
 QQ = _QQ
 
 
+def _join(*descriptors):
+    """The one field that values over all the given fields combine in.
+
+    Equal fields stay as they are and Q lifts into an extension Q(g); two
+    different extensions have no common field here.
+    """
+    out = QQ
+    for d in descriptors:
+        if d is not out and d.is_extension:
+            if out.is_extension and d != out:
+                raise DescriptorMismatchError("values over two different extensions")
+            out = d
+    return out
+
+
 class FieldElem:
     """An element of the field named by a FieldDescriptor.
 
@@ -228,7 +230,7 @@ class FieldElem:
     def __init__(self, descriptor, coefficients):
         coeffs = [Fraction(c) for c in coefficients]
         if descriptor.is_extension and len(coeffs) >= len(descriptor.minimal_polynomial):
-            coeffs = _poly_rem_q(coeffs, list(descriptor.minimal_polynomial))
+            coeffs = _poly_divmod(coeffs, descriptor.minimal_polynomial)[1]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if not descriptor.is_extension and len(coeffs) > 1:
@@ -276,12 +278,8 @@ class FieldElem:
     def _pair(self, other):
         other = FieldElem.of(other, self.descriptor) if not isinstance(other, FieldElem) else other
         if other.descriptor != self.descriptor:
-            if not other.descriptor.is_extension:
-                other = other.lift(self.descriptor)
-            elif not self.descriptor.is_extension:
-                return self.lift(other.descriptor)._pair(other)
-            else:
-                raise DescriptorMismatchError("elements of two different extensions")
+            desc = _join(self.descriptor, other.descriptor)
+            return self.lift(desc), other.lift(desc)
         return (self, other)
 
     def __add__(self, other):
@@ -421,9 +419,10 @@ class MultiPoly:
 
     @staticmethod
     def constant(value, variables, descriptor=QQ):
-        c = FieldElem.of(value, descriptor) if not isinstance(value, FieldElem) else value
-        return MultiPoly(variables, c.descriptor if descriptor == QQ and c.descriptor != QQ else descriptor,
-                         {tuple([0] * len(variables)): c})
+        c = value if isinstance(value, FieldElem) else FieldElem.of(value, descriptor)
+        if c.descriptor is not descriptor:
+            descriptor = _join(descriptor, c.descriptor)
+        return MultiPoly(variables, descriptor, {tuple([0] * len(variables)): c})
 
     @staticmethod
     def variable(name, variables, descriptor=QQ):
@@ -488,19 +487,14 @@ class MultiPoly:
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
-            other = MultiPoly.constant(other if isinstance(other, FieldElem) else FieldElem.of(other, self.descriptor),
-                                       self.variables, self.descriptor)
+            other = MultiPoly.constant(other, self.variables, self.descriptor)
         if not isinstance(other, MultiPoly):
             return None
         if other.variables != self.variables:
             raise DescriptorMismatchError("polynomials in different variable lists")
         if other.descriptor != self.descriptor:
-            if not other.descriptor.is_extension:
-                other = other.lift(self.descriptor)
-            elif not self.descriptor.is_extension:
-                return self.lift(other.descriptor)._pair(other)
-            else:
-                raise DescriptorMismatchError("polynomials over two different extensions")
+            desc = _join(self.descriptor, other.descriptor)
+            return self.lift(desc), other.lift(desc)
         return (self, other)
 
     def __add__(self, other):
@@ -582,19 +576,15 @@ class MultiPoly:
 
     def evaluate(self, values):
         """Value at a point; ``values`` maps each variable to a scalar."""
-        desc = self.descriptor
-        for v in self.variables:
-            val = values[v]
-            if isinstance(val, FieldElem) and val.descriptor.is_extension:
-                desc = val.descriptor
+        vals = [FieldElem.of(values[v], self.descriptor) for v in self.variables]
+        desc = _join(self.descriptor, *(val.descriptor for val in vals))
+        vals = [val.lift(desc) for val in vals]
         acc = FieldElem.of(0, desc)
         for k, c in self.terms.items():
-            term = c.lift(desc) if c.descriptor != desc else c
-            for v, e in zip(self.variables, k):
+            term = c.lift(desc)
+            for val, e in zip(vals, k):
                 if e:
-                    val = values[v]
-                    val = val if isinstance(val, FieldElem) else FieldElem.of(val, desc)
-                    term = term * (val.lift(desc) if val.descriptor != desc else val) ** e
+                    term = term * val ** e
             acc = acc + term
         return acc
 
@@ -729,12 +719,8 @@ class PowerSeries:
         if other.truncation_order != self.truncation_order:
             raise DescriptorMismatchError("series with different truncation orders")
         if other.descriptor != self.descriptor:
-            if not other.descriptor.is_extension:
-                other = other.lift(self.descriptor)
-            elif not self.descriptor.is_extension:
-                return self.lift(other.descriptor)._pair(other)
-            else:
-                raise DescriptorMismatchError("series over two different extensions")
+            desc = _join(self.descriptor, other.descriptor)
+            return self.lift(desc), other.lift(desc)
         return (self, other)
 
     def __add__(self, other):
@@ -815,85 +801,42 @@ def substitute(poly, assignment):
         if v not in assignment:
             raise PreconditionError(f"variable {v!r} is not assigned")
     targets = {v: assignment[v] for v in poly.variables}
+    desc = _join(poly.descriptor, *(t.descriptor for t in targets.values()
+                                    if isinstance(t, (FieldElem, MultiPoly, PowerSeries))))
     series = [t for t in targets.values() if isinstance(t, PowerSeries)]
+    polys = [t for t in targets.values() if isinstance(t, MultiPoly)]
     if series:
-        model = series[0]
-        n, var = model.truncation_order, model.variable
-        desc = model.descriptor
-        for s in series:
-            if s.truncation_order != n:
-                raise DescriptorMismatchError("series targets with different truncation orders")
-            if s.variable != var:
-                raise DescriptorMismatchError("series targets in different variables")
-            if s.descriptor.is_extension:
-                desc = s.descriptor
-        if poly.descriptor.is_extension:
-            if desc.is_extension and desc != poly.descriptor:
-                raise DescriptorMismatchError("polynomial and series over different extensions")
-            desc = poly.descriptor
-        fixed = {}
-        for v, t in targets.items():
-            if isinstance(t, PowerSeries):
-                fixed[v] = t.lift(desc) if t.descriptor != desc else t
-            elif isinstance(t, (int, Fraction, FieldElem)):
-                fixed[v] = PowerSeries(var, n, [t], desc)
-            elif isinstance(t, MultiPoly) and t.is_constant:
-                fixed[v] = PowerSeries(var, n, [t.constant_value()], desc)
-            else:
-                raise DescriptorMismatchError("cannot mix series and nonconstant polynomial targets")
-        powers = {}
-        for v in poly.variables:
-            d = poly.degree_in(v)
-            pw = [PowerSeries(var, n, [1], desc)]
-            for _ in range(max(d, 0)):
-                pw.append(pw[-1] * fixed[v])
-            powers[v] = pw
-        acc = PowerSeries.zero(var, n, desc)
-        for k, c in poly.terms.items():
-            term = PowerSeries(var, n, [c.lift(desc) if c.descriptor != desc else c], desc)
-            for v, e in zip(poly.variables, k):
-                if e:
-                    term = term * powers[v][e]
-            acc = acc + term
-        return acc
+        n, var = series[0].truncation_order, series[0].variable
+        if any(s.truncation_order != n for s in series):
+            raise DescriptorMismatchError("series targets with different truncation orders")
+        if any(s.variable != var for s in series):
+            raise DescriptorMismatchError("series targets in different variables")
+        if not all(t.is_constant for t in polys):
+            raise DescriptorMismatchError("cannot mix series and nonconstant polynomial targets")
 
-    # polynomial targets
-    model = None
-    for t in targets.values():
-        if isinstance(t, MultiPoly):
-            model = t
-            break
-    if model is None:
+        def coerce(t):
+            if isinstance(t, PowerSeries):
+                return t.lift(desc)
+            return PowerSeries(var, n, [t.constant_value() if isinstance(t, MultiPoly) else t], desc)
+    elif polys:
+        variables = polys[0].variables
+        if any(t.variables != variables for t in polys):
+            raise DescriptorMismatchError("polynomial targets over different variable lists")
+
+        def coerce(t):
+            return t.lift(desc) if isinstance(t, MultiPoly) else MultiPoly.constant(t, variables, desc)
+    else:
         raise PreconditionError("assignment contains no polynomial or series target")
-    desc = model.descriptor
-    for t in targets.values():
-        if isinstance(t, MultiPoly) and t.descriptor.is_extension:
-            desc = t.descriptor
-        if isinstance(t, FieldElem) and t.descriptor.is_extension:
-            desc = t.descriptor
-    if poly.descriptor.is_extension:
-        if desc.is_extension and desc != poly.descriptor:
-            raise DescriptorMismatchError("polynomial and targets over different extensions")
-        desc = poly.descriptor
-    variables = model.variables
-    fixed = {}
-    for v, t in targets.items():
-        if isinstance(t, MultiPoly):
-            if t.variables != variables:
-                raise DescriptorMismatchError("polynomial targets over different variable lists")
-            fixed[v] = t.lift(desc) if t.descriptor != desc else t
-        else:
-            fixed[v] = MultiPoly.constant(t, variables, desc)
     powers = {}
     for v in poly.variables:
-        d = poly.degree_in(v)
-        pw = [MultiPoly.constant(1, variables, desc)]
-        for _ in range(max(d, 0)):
-            pw.append(pw[-1] * fixed[v])
+        pw = [coerce(1)]
+        target = coerce(targets[v])
+        for _ in range(max(poly.degree_in(v), 0)):
+            pw.append(pw[-1] * target)
         powers[v] = pw
-    acc = MultiPoly.zero(variables, desc)
+    acc = coerce(0)
     for k, c in poly.terms.items():
-        term = MultiPoly.constant(c.lift(desc) if c.descriptor != desc else c, variables, desc)
+        term = coerce(c)
         for v, e in zip(poly.variables, k):
             if e:
                 term = term * powers[v][e]
@@ -903,20 +846,12 @@ def substitute(poly, assignment):
 
 def translate_to_origin(poly, point):
     """The polynomial poly(x + p) in the same variables: p becomes the origin."""
-    coords = [c if isinstance(c, FieldElem) else FieldElem.of(c) for c in point]
+    coords = [FieldElem.of(c) for c in point]
     if len(coords) != len(poly.variables):
         raise PreconditionError("point arity does not match the variable list")
-    desc = poly.descriptor
-    for c in coords:
-        if c.descriptor.is_extension:
-            if desc.is_extension and desc != c.descriptor:
-                raise DescriptorMismatchError("point coordinates outside the polynomial's field")
-            desc = c.descriptor
-    lifted = poly.lift(desc) if poly.descriptor != desc else poly
-    assignment = {}
-    for v, c in zip(poly.variables, coords):
-        assignment[v] = MultiPoly.variable(v, poly.variables, desc) + MultiPoly.constant(c.lift(desc) if c.descriptor != desc else c, poly.variables, desc)
-    return substitute(lifted, assignment)
+    desc = _join(poly.descriptor, *(c.descriptor for c in coords))
+    return substitute(poly, {v: MultiPoly.variable(v, poly.variables, desc) + c
+                             for v, c in zip(poly.variables, coords)})
 
 
 def homogenize(poly, new_var, degree):
@@ -990,56 +925,25 @@ def divexact(f, g):
     return q
 
 
-def _univ_coeff_list(p, var):
-    # FieldElem coefficient list of a polynomial that involves only `var`
-    out = [FieldElem.of(0, p.descriptor)] * (p.degree_in(var) + 1 if not p.is_zero else 0)
+def _univariate_coeffs(p, var):
+    """FieldElem coefficient list (constant first) of a polynomial in ``var`` alone."""
     i = p.variables.index(var)
+    out = [FieldElem.of(0, p.descriptor)] * (p.degree_in(var) + 1)
     for k, c in p.terms.items():
-        for j, e in enumerate(k):
-            if j != i and e:
-                raise PreconditionError("polynomial is not univariate")
-        if out:
-            out[k[i]] = c
+        if any(k[:i] + k[i + 1:]):
+            raise PreconditionError("polynomial is not univariate")
+        out[k[i]] = c
     return out
-
-
-def _univ_from_list(coeffs, var, variables, descriptor):
-    i = variables.index(var)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        k = [0] * len(variables)
-        k[i] = e
-        terms[tuple(k)] = c
-    return MultiPoly(variables, descriptor, terms)
 
 
 def gcd_univariate(f, g, var):
     """Monic gcd of two polynomials involving only ``var``."""
-    a, b = _univ_coeff_list(f, var), _univ_coeff_list(g, var)
-
-    def strip(c):
-        while c and c[-1].is_zero:
-            c.pop()
-        return c
-
-    a, b = strip(a), strip(b)
+    a, b = _univariate_coeffs(f, var), _univariate_coeffs(g, var)
     while b:
-        # remainder of a mod b
-        db, lb = len(b) - 1, b[-1]
-        r = list(a)
-        while strip(r) and len(r) - 1 >= db:
-            c = r[-1] / lb
-            shift = len(r) - 1 - db
-            for i in range(db + 1):
-                r[shift + i] = r[shift + i] - c * b[i]
-            r.pop()
-        a, b = b, strip(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    else:
-        return MultiPoly.zero(f.variables, f.descriptor)
-    return _univ_from_list(a, var, f.variables, f.descriptor)
+        a, b = b, _poly_divmod(a, b)[1]
+    i = f.variables.index(var)
+    return MultiPoly(f.variables, f.descriptor, {(0,) * i + (e,) + (0,) * (len(f.variables) - i - 1): c / a[-1]
+                                                 for e, c in enumerate(a)})
 
 
 def _pseudo_rem(f, g, var):
@@ -1147,65 +1051,29 @@ def squarefree_at(f, point=None):
 
 
 def resultant(f, g, var):
-    """Sylvester resultant of f and g eliminating ``var``."""
-    pair = f._pair(g)
-    f, g = pair
+    """Resultant of f and g eliminating ``var``, in sympy's sparse ring."""
+    f, g = f._pair(g)
     if f.is_zero or g.is_zero:
         raise PreconditionError("resultant of a zero polynomial")
-    m, n = f.degree_in(var), g.degree_in(var)
-    if m <= 0 and n <= 0:
+    if f.degree_in(var) <= 0 and g.degree_in(var) <= 0:
         raise PreconditionError(f"variable {var!r} absent from both polynomials")
-    if m <= 0:
-        return f ** n
-    if n <= 0:
-        return g ** m
-    cf = f.coeffs_in(var)
-    cg = g.coeffs_in(var)
-    size = m + n
-    zero = MultiPoly.zero(f.variables, f.descriptor)
-    mat = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cf)):
-            row[i + j] = c
-        mat.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cg)):
-            row[i + j] = c
-        mat.append(row)
-    return _bareiss_det(mat, f.variables, f.descriptor)
+    i = f.variables.index(var)
+    R, to_sympy, from_sympy = _sympy_ring(f.descriptor, f"_v:{len(f.variables)}")
 
+    def as_ring(p):
+        # ``var`` goes first: sympy eliminates the first generator
+        return R.from_dict({(k[i],) + k[:i] + k[i + 1:]: to_sympy(c) for k, c in p.terms.items()})
 
-def _bareiss_det(mat, variables, descriptor):
-    # fraction-free determinant; entries are polynomials in an integral domain
-    n = len(mat)
-    sign = 1
-    prev = MultiPoly.constant(1, variables, descriptor)
-    m = [row[:] for row in mat]
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot_row = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return MultiPoly.zero(variables, descriptor)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = divexact(num, prev)
-            m[i][k] = MultiPoly.zero(variables, descriptor)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    res = as_ring(f).resultant(as_ring(g))
+    # in one variable sympy returns the constant as a bare domain element
+    terms = res.items() if len(f.variables) > 1 else [((), res)]
+    return MultiPoly(f.variables, f.descriptor,
+                     {k[:i] + (0,) + k[i:]: from_sympy(c) for k, c in terms})
 
 
 # ---------------------------------------------------------------------------
-# Univariate factorization kernel (the one bought dependency: sympy)
+# The sympy boundary (the one bought dependency): ring conversion, and the
+# univariate factorization kernel
 # ---------------------------------------------------------------------------
 
 def _sympy_qq(fractions):
@@ -1213,6 +1081,31 @@ def _sympy_qq(fractions):
     from sympy import QQ as SQQ
 
     return [SQQ(c.numerator, c.denominator) for c in reversed(fractions)]
+
+
+def _sympy_ring(descriptor, symbols):
+    """sympy's sparse ring in ``symbols`` over the field, with FieldElem
+    converters into and out of its domain.
+
+    The domain is QQ, or QQ[g]/(minimal polynomial) built from the exact
+    coefficient list, so no numeric step enters.
+    """
+    from sympy import QQ as SQQ, Poly, Symbol, ring
+
+    ext = descriptor.is_extension
+    dom = SQQ.alg_field_from_poly(
+        Poly(_sympy_qq(descriptor.minimal_polynomial), Symbol("_g"), domain=SQQ)) if ext else SQQ
+
+    def to_sympy(c):
+        c = c.lift(descriptor)
+        return dom(_sympy_qq(c.coefficients)) if ext else _sympy_qq([c.as_fraction()])[0]
+
+    def from_sympy(a):
+        qs = a.to_list() if ext else [a]
+        return FieldElem(descriptor, [Fraction(int(q.numerator), int(q.denominator))
+                                      for q in reversed(qs)])
+
+    return ring(symbols, dom)[0], to_sympy, from_sympy
 
 
 def factor_univariate(coeffs, descriptor):
@@ -1225,42 +1118,34 @@ def factor_univariate(coeffs, descriptor):
     factorization is norm-based and exact.  If sympy cannot factor over the
     field, ExtensionRequiredError is raised.
     """
-    from sympy import QQ as SQQ, Poly, Symbol
-    from sympy.polys.polyerrors import DomainError
-    from sympy.polys.rings import ring
+    from sympy import DomainError
 
-    coeffs = [c if isinstance(c, FieldElem) else FieldElem.of(c, descriptor) for c in coeffs]
+    coeffs = [FieldElem.of(c, descriptor) for c in coeffs]
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
     if not coeffs:
         raise PreconditionError("factorization of the zero polynomial")
     if len(coeffs) == 1:
         return coeffs[0], []
-    if descriptor.is_extension:
-        dom = SQQ.alg_field_from_poly(
-            Poly(_sympy_qq(descriptor.minimal_polynomial), Symbol("_g"), domain=SQQ))
-        rep = [dom(_sympy_qq(c.coefficients)) for c in reversed(coeffs)]
-    else:
-        dom = SQQ
-        rep = _sympy_qq([c.as_fraction() for c in coeffs])
+    R, to_sympy, from_sympy = _sympy_ring(descriptor, "_z")
     try:
-        _, factors = ring("_z", dom)[0].from_list(rep).factor_list()
+        _, factors = R.from_list([to_sympy(c) for c in reversed(coeffs)]).factor_list()
     except (DomainError, NotImplementedError) as exc:  # sympy has no algorithm here
         raise ExtensionRequiredError(
             f"cannot factor over {descriptor!r}: {exc}",
             polynomial=[tuple(c.coefficients) for c in coeffs],
             descriptor=descriptor)
-
-    def back(a):
-        qs = a.to_list() if descriptor.is_extension else [a]
-        return FieldElem(descriptor, [Fraction(int(q.numerator), int(q.denominator))
-                                      for q in reversed(qs)])
-
-    return coeffs[-1], [([back(a) for a in reversed(fac.monic().to_dense())], mult)
+    return coeffs[-1], [([from_sympy(a) for a in reversed(fac.monic().to_dense())], mult)
                         for fac, mult in factors]
 
 
 _FRESH_NAMES = ("theta", "omega", "zeta", "eta", "xi")
+
+
+def _fresh_field(n, monic):
+    """The n-th fresh extension of Q, generated by a root of a monic rational factor."""
+    name = _FRESH_NAMES[n] if n < len(_FRESH_NAMES) else f"{_FRESH_NAMES[0]}{n}"
+    return FieldDescriptor.simple_extension(name, [c.as_fraction() for c in monic])
 
 
 def univariate_roots(coeffs, descriptor):
@@ -1289,9 +1174,8 @@ def univariate_roots(coeffs, descriptor):
                 "roots require a further field extension",
                 polynomial=[tuple(c.coefficients) for c in fac],
                 descriptor=descriptor)
-        name = _FRESH_NAMES[fresh] if fresh < len(_FRESH_NAMES) else f"{_FRESH_NAMES[0]}{fresh}"
+        ext = _fresh_field(fresh, fac)
         fresh += 1
-        ext = FieldDescriptor.simple_extension(name, [c.as_fraction() for c in fac])
         out.append((FieldElem.generator(ext), mult, ext, deg))
     return out
 

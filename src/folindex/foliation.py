@@ -35,6 +35,7 @@ from .exactcore import (
     MultiPoly,
     NotSaturatedError,
     PreconditionError,
+    _univariate_coeffs,
     dehomogenize,
     divexact,
     divides,
@@ -156,11 +157,6 @@ def from_affine(a, b):
 
 # -- singular locus ---------------------------------------------------------
 
-def _as_univariate(p, var):
-    """Coefficient list (constant first) of a polynomial involving only var."""
-    return [c.constant_value() for c in p.coeffs_in(var)]
-
-
 def _restrict_second_to_zero(p):
     """p(t, 0) as a polynomial in the first variable alone."""
     t, _ = p.variables
@@ -179,7 +175,7 @@ def _affine_points(A, B, chart):
     R = resultant(A, B, y)
     if R.is_constant:
         return out
-    for xr, _, desc, cx in univariate_roots(_as_univariate(R, x), QQ):
+    for xr, _, desc, cx in univariate_roots(_univariate_coeffs(R, x), QQ):
         al, bl = A.lift(desc), B.lift(desc)
         yv = MultiPoly.variable(y, (y,), desc)
         xc = MultiPoly.constant(xr, (y,), desc)
@@ -193,7 +189,7 @@ def _affine_points(A, B, chart):
             g = gcd_univariate(ay, by, y)
         if g.is_constant:
             continue            # resultant root with no matching zero
-        for yr, _, ydesc, cy in univariate_roots(_as_univariate(g, y), desc):
+        for yr, _, ydesc, cy in univariate_roots(_univariate_coeffs(g, y), desc):
             coords = (xr.lift(ydesc), yr)
             out.append(SingularPoint(chart, coords, cx * cy))
     return out
@@ -213,7 +209,7 @@ def _infinity_line_points(P, Q):
         g = gcd_univariate(pu, qu, u)
     if g.is_constant:
         return out
-    for ur, _, desc, c in univariate_roots(_as_univariate(g, u), QQ):
+    for ur, _, desc, c in univariate_roots(_univariate_coeffs(g, u), QQ):
         coords = (ur, FieldElem.of(0, desc))
         out.append(SingularPoint(1, coords, c))
     return out

@@ -81,35 +81,36 @@ def _origin_value(f):
     return f.terms.get((0,) * len(f.variables))
 
 
-def _fulton(f, g, x, y, depth):
-    if depth > _DEPTH_CAP:
-        raise ResourceCapError(
-            f"intersection-multiplicity recursion exceeded {_DEPTH_CAP} steps")
-    if _origin_value(f) is not None or _origin_value(g) is not None:
-        return 0
-    f0 = _restriction(f, x, y)
-    g0 = _restriction(g, x, y)
-    if not f0 and not g0:
-        # both divisible by y: a common component through the origin, which
-        # the up-front gcd test already excluded
-        raise PreconditionError("internal: common factor survived the gcd test")
-    if not f0:
-        f, g = g, f
-        f0, g0 = g0, f0
-    if not g0:
-        # g = y * q, and I(y, f) is the x-order of f on the y = 0 axis
-        q = divexact(g, MultiPoly.variable(y, f.variables, f.descriptor))
-        return _ord(f0) + _fulton(f, q, x, y, depth + 1)
-    r, fr = _lead(f0)
-    s, gs = _lead(g0)
-    if r > s:
-        f, g = g, f
-        (r, fr), (s, gs) = (s, gs), (r, fr)
-    # kill the top x-coefficient of g's restriction; scaling by the nonzero
-    # constant fr and adding a multiple of f both leave the colength fixed
-    shift = MultiPoly.variable(x, f.variables, f.descriptor) ** (s - r)
-    g2 = g * fr - f * shift * gs
-    return _fulton(f, g2, x, y, depth + 1)
+def _fulton(f, g, x, y):
+    total = 0
+    for _ in range(_DEPTH_CAP + 1):
+        if _origin_value(f) is not None or _origin_value(g) is not None:
+            return total
+        f0 = _restriction(f, x, y)
+        g0 = _restriction(g, x, y)
+        if not f0 and not g0:
+            # both divisible by y: a common component through the origin, which
+            # the up-front gcd test already excluded
+            raise PreconditionError("internal: common factor survived the gcd test")
+        if not f0:
+            f, g = g, f
+            f0, g0 = g0, f0
+        if not g0:
+            # g = y * q, and I(y, f) is the x-order of f on the y = 0 axis
+            total += _ord(f0)
+            g = divexact(g, MultiPoly.variable(y, f.variables, f.descriptor))
+            continue
+        r, fr = _lead(f0)
+        s, gs = _lead(g0)
+        if r > s:
+            f, g = g, f
+            (r, fr), (s, gs) = (s, gs), (r, fr)
+        # kill the top x-coefficient of g's restriction; scaling by the nonzero
+        # constant fr and adding a multiple of f both leave the colength fixed
+        shift = MultiPoly.variable(x, f.variables, f.descriptor) ** (s - r)
+        g = g * fr - f * shift * gs
+    raise ResourceCapError(
+        f"intersection-multiplicity recursion exceeded {_DEPTH_CAP} steps")
 
 
 def intersection_multiplicity(f, g, p):
@@ -130,7 +131,7 @@ def intersection_multiplicity(f, g, p):
     if not common.is_constant and _origin_value(common) is None:
         return LocalMultiplicity(INFINITE, "fulton-recursive")
     x, y = ft.variables
-    value = _fulton(ft, gt, x, y, 0)
+    value = _fulton(ft, gt, x, y)
     return LocalMultiplicity(value, "fulton-recursive")
 
 

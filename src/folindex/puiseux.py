@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .exactcore import (
+    DescriptorMismatchError,
     ExtensionRequiredError,
     FieldDescriptor,
     FieldElem,
@@ -29,9 +30,9 @@ from .exactcore import (
     NonTangentError,
     PowerSeries,
     PreconditionError,
-    QQ,
     ResourceCapError,
-    _FRESH_NAMES,
+    _fresh_field,
+    _join,
     divexact,
     factor_univariate,
     squarefree_at,
@@ -199,31 +200,47 @@ def _edge_root_choices(h, q, descriptor, ctx):
 
 
 def _fresh_extension(monic, ctx):
-    n = ctx["fresh"]
-    ctx["fresh"] = n + 1
-    name = _FRESH_NAMES[n] if n < len(_FRESH_NAMES) else f"{_FRESH_NAMES[0]}{n}"
-    return FieldDescriptor.simple_extension(name, [c.as_fraction() for c in monic])
+    ctx["fresh"] += 1
+    return _fresh_field(ctx["fresh"] - 1, monic)
 
 
-def _expand(f, budget, depth, ctx):
-    """All expansion paths of f through the origin with y -> 0 as x -> 0."""
-    if depth > _DEPTH_CAP:
-        raise ResourceCapError("branch expansion exceeded the recursion cap")
-    if _origin_coeff(f) is not None:
-        return []
-    x, y = f.variables
-    iy = 1
-    if _divisible_by(f, iy):
-        h = divexact(f, MultiPoly.variable(y, f.variables, f.descriptor))
-        if _divisible_by(h, iy):
-            raise NonReducedError("repeated branch met during expansion")
-        out = [_Path([], 1, True)]
-        if _origin_coeff(h) is None:
-            out.extend(_expand(h, budget, depth + 1, ctx))
-        return out
-    if budget <= 0:
-        return [_Path([], 1, False)]
+def _expand(f, budget, ctx):
+    """All expansion paths of f through the origin with y -> 0 as x -> 0.
+
+    Depth first, with an explicit stack instead of Python recursion: entry k
+    holds the pending children of a node at depth k, and edge children are
+    computed only when reached, so paths, fresh field names and errors come
+    in the order of a recursive depth-first walk.
+    """
     out = []
+    stack = [iter([(f, budget, [], 1)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        if len(stack) > _DEPTH_CAP + 1:
+            raise ResourceCapError("branch expansion exceeded the recursion cap")
+        f, budget, steps, conj = node
+        if _origin_coeff(f) is not None:
+            continue
+        if _divisible_by(f, 1):
+            h = divexact(f, MultiPoly.variable(f.variables[1], f.variables, f.descriptor))
+            if _divisible_by(h, 1):
+                raise NonReducedError("repeated branch met during expansion")
+            out.append(_Path(steps, conj, True))
+            if _origin_coeff(h) is None:
+                stack.append(iter([(h, budget, steps, conj)]))
+        elif budget <= 0:
+            out.append(_Path(steps, conj, False))
+        else:
+            stack.append(_edge_children(f, budget, steps, conj, ctx))
+    return out
+
+
+def _edge_children(f, budget, steps, conj, ctx):
+    """The nodes one Newton-polygon step below f, one per edge factor."""
+    x, y = f.variables
     for q, p, d, levels in _polygon_edges(f):
         m_deg = max(levels)
         psi = [levels.get(i, FieldElem.of(0, f.descriptor)) for i in range(m_deg + 1)]
@@ -231,24 +248,14 @@ def _expand(f, budget, depth, ctx):
         for fac, _mult in sorted(facs, key=lambda fm: _sort_key_poly(fm[0])):
             if len(fac) < 2:
                 continue
-            c, ext, conj = _edge_root_choices(fac, q, f.descriptor, ctx)
-            fl = f.lift(ext) if ext != f.descriptor else f
+            c, ext, cj = _edge_root_choices(fac, q, f.descriptor, ctx)
+            fl = f.lift(ext)
             xq = MultiPoly.variable(x, fl.variables, ext) ** q
             image_y = (MultiPoly.variable(x, fl.variables, ext) ** p) * \
                 (MultiPoly.variable(y, fl.variables, ext) + MultiPoly.constant(c, fl.variables, ext))
             g = substitute(fl, {x: xq, y: image_y})
             g = divexact(g, MultiPoly.variable(x, fl.variables, ext) ** d)
-            for sub in _expand(g, budget * q - p, depth + 1, ctx):
-                out.append(_Path([(q, p, c)] + sub.steps, conj * sub.conjugacy, sub.exact))
-    return out
-
-
-def _final_descriptor(steps):
-    desc = QQ
-    for _, _, c in steps:
-        if c.descriptor.is_extension:
-            desc = c.descriptor
-    return desc
+            yield g, budget * q - p, steps + [(q, p, c)], conj * cj
 
 
 def _monomial_series(exp, n, desc):
@@ -256,7 +263,7 @@ def _monomial_series(exp, n, desc):
 
 
 def _assemble(path, precision, point, variables):
-    desc = _final_descriptor(path.steps)
+    desc = _join(*(c.descriptor for _, _, c in path.steps))
     k = len(path.steps)
     suffix = [1] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -339,7 +346,7 @@ def branches(f, p, precision):
         out.append(_axis_branch("x-axis", precision, work.descriptor, p, f.variables))
     if _origin_coeff(work) is None:
         ctx = {"fresh": 0}
-        for path in _expand(work, precision, 0, ctx):
+        for path in _expand(work, precision, ctx):
             out.append(_assemble(path, precision, p, f.variables))
     for b in out:
         if not _verify_on_curve(b, ft):
@@ -356,15 +363,12 @@ def branches(f, p, precision):
 
 def _localized(g, branch):
     gt = translate_to_origin(g, branch.point)
-    if gt.descriptor == branch.descriptor:
-        return gt
-    if not gt.descriptor.is_extension:
-        return gt.lift(branch.descriptor)
-    if not branch.descriptor.is_extension:
-        return gt  # substitution promotes the branch data instead
-    raise ExtensionRequiredError(
-        "polynomial and branch live in different extensions",
-        polynomial=None, descriptor=branch.descriptor)
+    try:
+        return gt.lift(_join(gt.descriptor, branch.descriptor))
+    except DescriptorMismatchError:
+        raise ExtensionRequiredError(
+            "polynomial and branch live in different extensions",
+            polynomial=None, descriptor=branch.descriptor)
 
 
 def ord_along_branch(branch, g):
@@ -436,13 +440,8 @@ def nash_lift_order(branch, v):
 
 def _compose_series(outer, inner):
     n = outer.truncation_order
-    desc = outer.descriptor
-    if inner.descriptor != desc:
-        if inner.descriptor.is_extension and not desc.is_extension:
-            desc = inner.descriptor
-            outer = outer.lift(desc)
-        else:
-            inner = inner.lift(desc)
+    desc = _join(outer.descriptor, inner.descriptor)
+    outer, inner = outer.lift(desc), inner.lift(desc)
     acc = PowerSeries.zero(outer.variable, n, desc)
     for k in range(n - 1, -1, -1):
         acc = acc * inner + outer.coefficients[k]

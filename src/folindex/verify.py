@@ -36,6 +36,7 @@ from .exactcore import (
     MissingInputError,
     NotLogarithmicError,
     PreconditionError,
+    _univariate_coeffs,
     divexact,
     gcd_bivariate,
     gcd_univariate,
@@ -44,7 +45,6 @@ from .exactcore import (
 from .foliation import (
     SingularPoint,
     _affine_points,
-    _as_univariate,
     _restrict_second_to_zero,
     divisor_in_charts,
     is_log_along,
@@ -119,7 +119,7 @@ def _divisor_singularities(chart_eqs):
         for p in slices[1:]:
             g = gcd_univariate(g, p, u)
         if not g.is_constant:
-            for ur, _, desc, c in univariate_roots(_as_univariate(g, u), QQ):
+            for ur, _, desc, c in univariate_roots(_univariate_coeffs(g, u), QQ):
                 q = SingularPoint(1, (ur, FieldElem.of(0, desc)), c)
                 out.append((q, milnor_number(h1.lift(desc), q.coordinates)))
     if not h2.is_constant:

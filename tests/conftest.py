@@ -1,10 +1,12 @@
 """Shared helpers for the test suite: parsers, germs, random samplers."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import folindex
 from folindex import (
     ExtensionRequiredError,
     InsufficientPrecisionError,
@@ -23,6 +25,13 @@ from folindex.localmult import INFINITE
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
 ORIGIN = (Fraction(0), Fraction(0))
+
+
+def subprocess_env():
+    """The environment with this package's source on PYTHONPATH, for subprocesses."""
+    src = os.path.dirname(os.path.dirname(folindex.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def P2(text):

@@ -1,15 +1,15 @@
 """Command-line driver: problem files in, reports out, exit codes honest."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import folindex
 import folindex.cli as cli
 from folindex.verify import GlobalReport
+
+from conftest import subprocess_env
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -66,6 +66,14 @@ def test_verify_baum_bott_ignores_missing_divisor(tmp_path):
     code, payload = run(tmp_path, ["verify", "--theorem", "baum-bott"], doc)
     assert code == 0
     assert payload["value"] == "3"
+
+
+def test_deep_fulton_recursion_answers(tmp_path):
+    # 1200 reduction steps: above Python's recursion limit, below the step cap
+    doc = {"variables": ["x", "y"], "germ": {"vector_field": ["x^1200", "y^1200"]}}
+    code, payload = run(tmp_path, ["index", "--kind", "ph"], doc)
+    assert code == 0
+    assert payload["value"] == "1440000"
 
 
 def test_puiseux_report(tmp_path):
@@ -247,13 +255,10 @@ def test_minpoly_with_large_constant_term_finishes(tmp_path):
     doc = {"variables": ["x", "y"],
            "field": {"generator": "r", "minpoly": "r^2 - 1000000000000000000000000000057"},
            "germ": {"vector_field": ["x - r*y", "y + r*x"]}}
-    src = os.path.dirname(os.path.dirname(folindex.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "folindex.cli", "index", "--kind", "ph",
          "--input", write_problem(tmp_path, doc)],
-        env=env, capture_output=True, text=True, timeout=30)
+        env=subprocess_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("PH = 1")
 
@@ -294,6 +299,18 @@ def test_default_cap_clears_the_same_problem(tmp_path):
     code, payload = run(tmp_path, ["index", "--kind", "euobs"], NONEXACT)
     assert code == 0
     assert payload["value"] == "3"
+
+
+def test_deep_branch_expansion_hits_the_depth_cap(tmp_path):
+    # one Newton-polygon step per order: 1100 steps pass the cap of 1000
+    doc = {"variables": ["x", "y"],
+           "germ": {"vector_field": ["x", "y"], "divisor": "y - x - x*y"}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "folindex.cli", "puiseux", "--precision", "1100",
+         "--input", write_problem(tmp_path, doc)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: branch expansion exceeded the recursion cap\n"
 
 
 def test_bad_cap_value_is_exit_1(tmp_path, monkeypatch):

@@ -2,10 +2,14 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import folindex.cli as cli
+
+from conftest import subprocess_env
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -33,3 +37,24 @@ def test_replay(entry, tmp_path):
     code = cli.main(list(entry["argv"]) + ["--input", str(problem), "--json", str(out)])
     assert code == 0
     assert json.loads(out.read_text()) == expected
+
+
+# Entries whose cold runs need no sympy, so they must not pay for importing it.
+SYMPY_FREE = ["node_radial.ph", "saddle_balanced.chi", "plane_twist_1.chern"]
+
+_MAIN_THEN_CHECK = (
+    "import sys\n"
+    "from folindex.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("name", SYMPY_FREE)
+def test_cold_run_stays_sympy_free(name):
+    entry = next(e for e in ENTRIES if e["name"] == name)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_CHECK, *entry["argv"],
+         "--input", str(CORPUS / entry["problem"])],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

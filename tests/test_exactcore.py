@@ -33,6 +33,7 @@ from folindex.exactcore import (
 from conftest import P2, V2
 
 SQRT2 = FieldDescriptor.simple_extension("r", [Fraction(-2), Fraction(0), Fraction(1)])
+SQRT3 = FieldDescriptor.simple_extension("s", [Fraction(-3), Fraction(0), Fraction(1)])
 
 
 def fe(v, desc=QQ):
@@ -62,6 +63,41 @@ def test_field_elem_rational_bridge():
     assert not r.is_rational
     with pytest.raises(DescriptorMismatchError):
         r.as_fraction()
+
+
+def _elem(desc):
+    return FieldElem.generator(desc) if desc.is_extension else fe(3)
+
+
+def _poly(desc):
+    return P2("x") + _elem(desc)
+
+
+def _series(desc):
+    return PowerSeries("t", 4, [_elem(desc), 1], desc)
+
+
+JOIN_OPS = {
+    "FieldElem +": lambda d1, d2: _elem(d1) + _elem(d2),
+    "MultiPoly *": lambda d1, d2: _poly(d1) * _poly(d2),
+    "PowerSeries +": lambda d1, d2: _series(d1) + _series(d2),
+    "substitute": lambda d1, d2: substitute(_poly(d1), {"x": _poly(d2), "y": _poly(d2)}),
+    "translate_to_origin": lambda d1, d2: translate_to_origin(_poly(d1), (_elem(d2), _elem(d2))),
+}
+
+
+@pytest.mark.parametrize("op", JOIN_OPS)
+def test_fields_join_the_same_way_everywhere(op):
+    with pytest.raises(DescriptorMismatchError):
+        JOIN_OPS[op](SQRT2, SQRT3)
+    assert JOIN_OPS[op](QQ, SQRT2).descriptor == SQRT2
+    assert JOIN_OPS[op](SQRT2, QQ).descriptor == SQRT2
+
+
+def test_factor_refuses_a_coefficient_from_another_extension():
+    # the coordinates of s in Q(s) must not be read as those of r in Q(r)
+    with pytest.raises(DescriptorMismatchError):
+        factor_univariate([FieldElem.generator(SQRT3), 1], SQRT2)
 
 
 def test_zero_inverse_rejected():
@@ -288,6 +324,18 @@ def test_resultant():
     assert r == P2("2*y^2 - 1")
     with pytest.raises(PreconditionError):
         resultant(P2("y"), P2("y^2"), "x")
+    # a side free of the eliminated variable enters as a power
+    assert resultant(P2("y^2"), P2("x^3 + y"), "x") == P2("y^6")
+    assert resultant(P2("x^2 - y"), P2("x - 1"), "y") == P2("x - 1")
+    # over Q(r): r^2 = 2, so x - r and x + r meet where 2r = 0, nowhere
+    xr = parse_poly("x - r", V2, SQRT2)
+    assert resultant(xr, parse_poly("x + r", V2, SQRT2), "x") == \
+        parse_poly("2*r", V2, SQRT2)
+    assert resultant(xr, parse_poly("x^2 - y", V2, SQRT2), "x") == \
+        parse_poly("2 - y", V2, SQRT2)
+    # one variable: the resultant is a constant
+    assert resultant(parse_poly("x^2 - 2", ("x",)), parse_poly("x - 1", ("x",)), "x") == \
+        parse_poly("-1", ("x",))
 
 
 def test_squarefree_at():
