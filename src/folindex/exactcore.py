@@ -276,14 +276,20 @@ class FieldElem:
             f"cannot move element of {self.descriptor!r} into {descriptor!r}")
 
     def _pair(self, other):
-        other = FieldElem.of(other, self.descriptor) if not isinstance(other, FieldElem) else other
+        if not isinstance(other, FieldElem):
+            if not isinstance(other, (int, Fraction)):
+                return None
+            other = FieldElem.of(other, self.descriptor)
         if other.descriptor != self.descriptor:
             desc = _join(self.descriptor, other.descriptor)
             return self.lift(desc), other.lift(desc)
         return (self, other)
 
     def __add__(self, other):
-        a, b = self._pair(other)
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         n = max(len(a.coefficients), len(b.coefficients))
         ca = list(a.coefficients) + [Fraction(0)] * (n - len(a.coefficients))
         cb = list(b.coefficients) + [Fraction(0)] * (n - len(b.coefficients))
@@ -295,13 +301,18 @@ class FieldElem:
         return FieldElem(self.descriptor, [-c for c in self.coefficients])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, FieldElem) else FieldElem.of(-Fraction(other), self.descriptor))
+        if not isinstance(other, (int, Fraction, FieldElem)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         return FieldElem(a.descriptor, _poly_mul_q(list(a.coefficients), list(b.coefficients)))
 
     __rmul__ = __mul__
@@ -319,10 +330,15 @@ class FieldElem:
         return FieldElem(self.descriptor, inv)
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         return a * b.inverse()
 
     def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return FieldElem.of(other, self.descriptor) / self
 
     def __pow__(self, n):
@@ -712,8 +728,9 @@ class PowerSeries:
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
+            other = FieldElem.of(other, self.descriptor)
             other = PowerSeries(self.variable, self.truncation_order,
-                                [other], self.descriptor)
+                                [other], other.descriptor)
         if other.variable != self.variable:
             raise DescriptorMismatchError("series in different variables")
         if other.truncation_order != self.truncation_order:
@@ -738,11 +755,15 @@ class PowerSeries:
         a, b = self._pair(other)
         return a + (-b)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
-            c = other if isinstance(other, FieldElem) else FieldElem.of(other, self.descriptor)
+            c = FieldElem.of(other, self.descriptor)
             return PowerSeries(self.variable, self.truncation_order,
-                               [x * c for x in self.coefficients], self.descriptor)
+                               [x * c for x in self.coefficients],
+                               _join(self.descriptor, c.descriptor))
         a, b = self._pair(other)
         n = a.truncation_order
         out = [FieldElem.of(0, a.descriptor)] * n

@@ -17,12 +17,18 @@ line bundle twist recorded for global index counts is 1 - degree; the
 convention is fixed by requiring the global Poincare-Hopf count to be
 degree^2 + degree + 1.
 
-Singular points are computed chart by chart over the rationals and
-simple extensions of any degree: resultant elimination in the affine
-chart, univariate root isolation on the line at infinity, a membership
-check at the one remaining corner point.  Each Galois orbit of points is
-listed once, tagged with its size; points needing a tower of extensions
-raise ExtensionRequiredError.
+Chart ownership.  Every projective point [x:y:z] belongs to the first
+chart containing it: chart 0 (z = 1) owns the whole affine plane, chart
+1 (x = 1) owns only its copy of the line at infinity (v = 0), and chart
+2 (y = 1) owns only its origin [0:1:0].  A homogeneous polynomial reads
+in a chart by setting that chart's unit coordinate to 1 (``_in_chart``).
+The singular points of the foliation and those of an invariant divisor
+are found by one search under this rule (``_chart_zeros``): resultant
+elimination in the affine chart, univariate root isolation on the line
+at infinity, a membership check at the corner.  It works over the
+rationals and simple extensions of any degree; each Galois orbit of
+points is listed once, tagged with its size, and points needing a tower
+of extensions raise ExtensionRequiredError.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .exactcore import (
     NotSaturatedError,
     PreconditionError,
     _univariate_coeffs,
-    dehomogenize,
     divexact,
     divides,
     gcd_bivariate,
@@ -46,9 +51,10 @@ from .exactcore import (
     substitute,
     univariate_roots,
 )
-from .indices import VectorFieldGerm, ph_index
+from .indices import VectorFieldGerm
 
 _CHART_VARS = {1: ("u", "v"), 2: ("s", "w")}
+_KEPT = ((0, 1), (1, 2), (0, 2))    # exponents of (x, y, z) each chart keeps
 
 
 @dataclass(frozen=True)
@@ -92,35 +98,31 @@ class ProjFoliation:
     line_at_infinity_invariant: bool
 
 
-def _move_to_chart(p, k, which):
-    """p scaled by the k-th power of the infinity coordinate of the chart."""
-    uu, vv = _CHART_VARS[which]
-    variables = (uu, vv)
-    terms = {}
-    for (i, j), c in p.terms.items():
-        key = (j, k - i - j) if which == 1 else (i, k - i - j)
-        terms[key] = terms[key] + c if key in terms else c
-    return MultiPoly(variables, p.descriptor, terms)
+def _in_chart(triples, which, variables, descriptor):
+    """Homogeneous terms {(i, j, l): c} in (x, y, z) read in chart ``which``.
+
+    The chart's unit coordinate is set to 1 and the two kept exponents
+    go to ``variables``; the map works on exponents alone, so no
+    variable name is reserved.
+    """
+    p, q = _KEPT[which]
+    return MultiPoly(variables, descriptor,
+                     {(e[p], e[q]): c for e, c in triples.items()})
 
 
 def _chart_fields(a, b, k, invariant):
-    x, y = a.variables
+    """The fields of charts 1 and 2: one formula, with a and b swapped for chart 2."""
     out = []
-    for which in (1, 2):
-        uu, vv = _CHART_VARS[which]
-        U = MultiPoly.variable(uu, (uu, vv), a.descriptor)
-        V = MultiPoly.variable(vv, (uu, vv), a.descriptor)
-        if which == 1:
-            am, bm = _move_to_chart(a, k, 1), _move_to_chart(b, k, 1)
-            first, second = bm - U * am, -(V * am)
-        else:
-            am, bm = _move_to_chart(a, k, 2), _move_to_chart(b, k, 2)
-            first, second = am - U * bm, -(V * bm)
+    for which, (p, q) in ((1, (a, b)), (2, (b, a))):
+        names = _CHART_VARS[which]
+        U, V = (MultiPoly.variable(n, names, a.descriptor) for n in names)
+        pm, qm = (_in_chart({(i, j, k - i - j): c for (i, j), c in f.terms.items()},
+                            which, names, a.descriptor) for f in (p, q))
+        first, second = qm - U * pm, -(V * pm)
         if not invariant:
             # x*b_k - y*a_k = 0 makes the infinity coordinate divide both
             # components once, and saturation forbids a second power
-            first = divexact(first, V)
-            second = divexact(second, V)
+            first, second = divexact(first, V), divexact(second, V)
         out.append(VectorFieldGerm(first, second))
     return out
 
@@ -155,17 +157,15 @@ def from_affine(a, b):
     return ProjFoliation(charts, degree, 1 - degree, invariant)
 
 
-# -- singular locus ---------------------------------------------------------
+# -- chart-owned zeros ------------------------------------------------------
 
-def _restrict_second_to_zero(p):
-    """p(t, 0) as a polynomial in the first variable alone."""
-    t, _ = p.variables
-    tv = MultiPoly.variable(t, (t,), p.descriptor)
-    zero = MultiPoly.zero((t,), p.descriptor)
-    return substitute(p, {p.variables[0]: tv, p.variables[1]: zero})
+def _vanishes_at(polys, point):
+    """True when every polynomial, in the point's chart, vanishes at it."""
+    return all(p.evaluate(dict(zip(p.variables, point.coordinates))).is_zero
+               for p in polys)
 
 
-def _affine_points(A, B, chart):
+def _affine_points(A, B):
     x, y = A.variables
     out = []
     if A.is_zero or B.is_zero:
@@ -191,58 +191,44 @@ def _affine_points(A, B, chart):
             continue            # resultant root with no matching zero
         for yr, _, ydesc, cy in univariate_roots(_univariate_coeffs(g, y), desc):
             coords = (xr.lift(ydesc), yr)
-            out.append(SingularPoint(chart, coords, cx * cy))
+            out.append(SingularPoint(0, coords, cx * cy))
     return out
 
 
-def _infinity_line_points(P, Q):
-    u, v = P.variables
-    out = []
-    pu, qu = _restrict_second_to_zero(P), _restrict_second_to_zero(Q)
-    if pu.is_zero and qu.is_zero:
-        raise PreconditionError("chart field vanishes along the line at infinity")
-    if pu.is_zero:
-        g = qu
-    elif qu.is_zero:
-        g = pu
-    else:
-        g = gcd_univariate(pu, qu, u)
-    if g.is_constant:
-        return out
-    for ur, _, desc, c in univariate_roots(_univariate_coeffs(g, u), QQ):
-        coords = (ur, FieldElem.of(0, desc))
-        out.append(SingularPoint(1, coords, c))
-    return out
+def _chart_zeros(chart_polys):
+    """Common zeros of a polynomial list per chart, one SingularPoint per orbit.
 
-
-def singular_points(foliation, certify=False):
-    """All singular points as one representative per Galois orbit.
-
-    Every projective point is owned by the first chart containing it, so
-    the affine chart is searched fully, the second chart only along its
-    copy of the line at infinity and the third chart only at its origin.
-    With ``certify`` the conjugacy-weighted Poincare-Hopf indices are
-    summed and checked against degree^2 + degree + 1; a mismatch raises
-    instead of returning a silently incomplete list.
+    The search follows the ownership rule of the module docstring.  Chart
+    0 eliminates its first two polynomials and the rest only filter;
+    chart 1 takes the gcd of its polynomials on the line v = 0; chart 2
+    tests its origin.  Points come in chart order, unsorted.
     """
-    a0, b0 = foliation.charts[0].components
-    points = _affine_points(a0, b0, 0)
-    p1, q1 = foliation.charts[1].components
-    points += _infinity_line_points(p1, q1)
-    a2, b2 = foliation.charts[2].components
-    corner = {var: 0 for var in a2.variables}
-    if a2.evaluate(corner).is_zero and b2.evaluate(corner).is_zero:
-        zero = FieldElem.of(0, QQ)
-        points.append(SingularPoint(2, (zero, zero), 1))
+    first, second, *rest = chart_polys[0]
+    points = [q for q in _affine_points(first, second) if _vanishes_at(rest, q)]
+    u, _ = chart_polys[1][0].variables
+    slices = [MultiPoly((u,), p.descriptor,
+                        {(i,): c for (i, j), c in p.terms.items() if j == 0})
+              for p in chart_polys[1]]
+    slices = [p for p in slices if not p.is_zero]
+    if not slices:
+        raise PreconditionError("chart field vanishes along the line at infinity")
+    g = slices[0]
+    for p in slices[1:]:
+        g = gcd_univariate(g, p, u)
+    if not g.is_constant:
+        for ur, _, desc, c in univariate_roots(_univariate_coeffs(g, u), QQ):
+            points.append(SingularPoint(1, (ur, FieldElem.of(0, desc)), c))
+    zero = FieldElem.of(0, QQ)
+    corner = SingularPoint(2, (zero, zero), 1)
+    if _vanishes_at(chart_polys[2], corner):
+        points.append(corner)
+    return points
+
+
+def singular_points(foliation):
+    """All singular points as one representative per Galois orbit, sorted."""
+    points = _chart_zeros([germ.components for germ in foliation.charts])
     points.sort(key=SingularPoint.sort_key)
-    if certify:
-        d = foliation.degree
-        total = sum(p.conjugacy_size * ph_index(localize(foliation, p)).value
-                    for p in points)
-        if total != d * d + d + 1:
-            raise PreconditionError(
-                f"singular locus incomplete: Poincare-Hopf sum {total} "
-                f"differs from {d * d + d + 1}")
     return points
 
 
@@ -254,16 +240,6 @@ def localize(foliation, point):
 
 
 # -- divisors ---------------------------------------------------------------
-
-def _chart_trace(H, which):
-    """H with the chart's unit coordinate set to 1, in that chart's variables."""
-    uu, vv = _CHART_VARS[which]
-    terms = {}
-    for (i, j, l), c in H.terms.items():
-        key = (j, l) if which == 1 else (i, l)
-        terms[key] = terms[key] + c if key in terms else c
-    return MultiPoly((uu, vv), H.descriptor, terms)
-
 
 def divisor_in_charts(foliation, H):
     """Chart equations (h0, h1, h2) of a reduced homogeneous divisor.
@@ -282,10 +258,8 @@ def divisor_in_charts(foliation, H):
     degrees = {sum(k) for k in H.terms}
     if len(degrees) != 1:
         raise PreconditionError("divisor equation must be homogeneous")
-    z = H.variables[2]
-    h0 = dehomogenize(H, z)
-    h1 = _chart_trace(H, 1)
-    h2 = _chart_trace(H, 2)
+    h0, h1, h2 = (_in_chart(H.terms, which, names, H.descriptor) for which, names
+                  in enumerate(((x, y), _CHART_VARS[1], _CHART_VARS[2])))
     for h in (h0, h1):
         if not h.is_constant and not squarefree_at(h):
             raise PreconditionError("divisor equation has a repeated factor")

@@ -15,7 +15,8 @@ logarithmic along it, every divisor singularity is a foliation
 singularity (the flow-box argument makes that a consequence of
 logarithmicity at isolated divisor singularities, so a violation means
 inconsistent input), and each logarithmic index certifies its own Saito
-determinant unit.
+determinant unit.  The singular points of the foliation and of the
+divisor both come from the chart-ownership search of folindex.foliation.
 """
 
 from __future__ import annotations
@@ -31,21 +32,15 @@ from .chern import (
     twisted_index_sum,
 )
 from .exactcore import (
-    QQ,
-    FieldElem,
     MissingInputError,
     NotLogarithmicError,
     PreconditionError,
-    _univariate_coeffs,
     divexact,
     gcd_bivariate,
-    gcd_univariate,
-    univariate_roots,
 )
 from .foliation import (
-    SingularPoint,
-    _affine_points,
-    _restrict_second_to_zero,
+    _chart_zeros,
+    _vanishes_at,
     divisor_in_charts,
     is_log_along,
     localize,
@@ -77,66 +72,28 @@ def _local_divisor(chart_eqs, point):
     return chart_eqs[point.chart].lift(point.descriptor)
 
 
-def _values_at(poly, point):
-    return dict(zip(poly.variables, point.coordinates))
-
-
 def _on_divisor(chart_eqs, point):
-    h = _local_divisor(chart_eqs, point)
-    if h.is_constant:
-        return False
-    return h.evaluate(_values_at(h, point)).is_zero
+    return _vanishes_at((chart_eqs[point.chart],), point)
 
 
 def _divisor_singular_at(chart_eqs, point):
-    h = _local_divisor(chart_eqs, point)
-    vals = _values_at(h, point)
-    return all(h.diff(v).evaluate(vals).is_zero for v in h.variables)
+    h = chart_eqs[point.chart]
+    return _vanishes_at([h.diff(v) for v in h.variables], point)
 
 
 def _divisor_singularities(chart_eqs):
     """(point, milnor number) per Galois orbit of divisor singularities."""
     h0, h1, h2 = chart_eqs
-    out = []
-    if not h0.is_constant:
-        x, y = h0.variables
-        a, b = h0.diff(x), h0.diff(y)
-        g = gcd_bivariate(a, b)
-        if not g.is_constant:
-            # a shared partial factor cannot meet a reduced curve, so
-            # removing it loses no curve singularities
-            a, b = divexact(a, g), divexact(b, g)
-        for q in _affine_points(a, b, 0):
-            hl = h0.lift(q.descriptor)
-            if hl.evaluate(_values_at(hl, q)).is_zero:
-                out.append((q, milnor_number(hl, q.coordinates)))
-    if not h1.is_constant:
-        u, v = h1.variables
-        slices = [_restrict_second_to_zero(p)
-                  for p in (h1, h1.diff(u), h1.diff(v))]
-        slices = [p for p in slices if not p.is_zero]
-        g = slices[0]
-        for p in slices[1:]:
-            g = gcd_univariate(g, p, u)
-        if not g.is_constant:
-            for ur, _, desc, c in univariate_roots(_univariate_coeffs(g, u), QQ):
-                q = SingularPoint(1, (ur, FieldElem.of(0, desc)), c)
-                out.append((q, milnor_number(h1.lift(desc), q.coordinates)))
-    if not h2.is_constant:
-        corner = {var: 0 for var in h2.variables}
-        if h2.evaluate(corner).is_zero and all(
-                h2.diff(v).evaluate(corner).is_zero for v in h2.variables):
-            zero = FieldElem.of(0, QQ)
-            q = SingularPoint(2, (zero, zero), 1)
-            out.append((q, milnor_number(h2, q.coordinates)))
-    return out
-
-
-def _field_vanishes_at(foliation, point):
-    a, b = foliation.charts[point.chart].components
-    al, bl = a.lift(point.descriptor), b.lift(point.descriptor)
-    vals = _values_at(al, point)
-    return al.evaluate(vals).is_zero and bl.evaluate(vals).is_zero
+    a, b = (h0.diff(v) for v in h0.variables)
+    g = gcd_bivariate(a, b)
+    if not g.is_constant:
+        # a shared partial factor cannot meet a reduced curve, so
+        # removing it loses no curve singularities
+        a, b = divexact(a, g), divexact(b, g)
+    chart_polys = [(a, b, h0)] + [(h, *(h.diff(v) for v in h.variables))
+                                  for h in (h1, h2)]
+    return [(q, milnor_number(_local_divisor(chart_eqs, q), q.coordinates))
+            for q in _chart_zeros(chart_polys)]
 
 
 def _checked_divisor(foliation, H):
@@ -150,7 +107,7 @@ def _checked_divisor(foliation, H):
 def _checked_divisor_singularities(foliation, chart_eqs):
     dsing = _divisor_singularities(chart_eqs)
     for q, _ in dsing:
-        if not _field_vanishes_at(foliation, q):
+        if not _vanishes_at(foliation.charts[q.chart].components, q):
             raise PreconditionError(
                 f"divisor singularity at {q.projective_string()} is not a "
                 "foliation singularity; logarithmicity at an isolated "
@@ -162,18 +119,12 @@ def _divisor_degree(H):
     return sum(next(iter(H.terms)))
 
 
-def _saito_basis_at(chart_eqs, point, bases):
-    if bases and point.descriptor == QQ:
-        key = (point.chart, tuple(c.as_fraction() for c in point.coordinates))
-        if key in bases:
-            return bases[key]
-    h = _local_divisor(chart_eqs, point)
+def _saito_basis_at(chart_eqs, point):
     try:
-        return auto_saito_basis(h, point.coordinates)
+        return auto_saito_basis(_local_divisor(chart_eqs, point), point.coordinates)
     except PreconditionError as exc:
         raise MissingInputError(
-            f"no automatic Saito basis at {point.projective_string()}: {exc}; "
-            "supply one through the bases argument") from exc
+            f"no automatic Saito basis at {point.projective_string()}: {exc}") from exc
 
 
 def verify_baum_bott(foliation):
@@ -191,14 +142,12 @@ def verify_baum_bott(foliation):
         assumptions=("foliation singularities are isolated (checked pointwise)",))
 
 
-def verify_log_seh(foliation, H, bases=None):
+def verify_log_seh(foliation, H):
     """Twisted complement count against Poincare-Hopf and logarithmic indices.
 
     The left-hand side integrates the twisted CSM class of the divisor
     complement; the right-hand side takes the Poincare-Hopf index at
     singular points off the divisor and the logarithmic index on it.
-    ``bases`` may map (chart, (c1, c2)) at rational points to a LogBasis
-    overriding the automatic one.
     """
     chart_eqs = _checked_divisor(foliation, H)
     dsing = _checked_divisor_singularities(foliation, chart_eqs)
@@ -210,7 +159,7 @@ def verify_log_seh(foliation, H, bases=None):
     for p in singular_points(foliation):
         v = localize(foliation, p)
         if _on_divisor(chart_eqs, p):
-            basis = _saito_basis_at(chart_eqs, p, bases)
+            basis = _saito_basis_at(chart_eqs, p)
             per.append((p.projective_string(), "LOG",
                         p.conjugacy_size * log_index(v, basis).value))
         else:
@@ -226,7 +175,7 @@ def verify_log_seh(foliation, H, bases=None):
         details={"divisor_degree": k, "divisor_milnor_numbers": mus})
 
 
-def verify_isolated(foliation, H, bases=None):
+def verify_isolated(foliation, H):
     """Virtual-bundle count against two index sums for an isolated-singular divisor.
 
     The left-hand side integrates the Chern class of the tangent bundle
@@ -263,7 +212,7 @@ def verify_isolated(foliation, H, bases=None):
             per.append((name, "PH", w * ph))
             per.append((name, "GSV", -w * gsv_index(v, h).value))
         else:
-            basis = _saito_basis_at(chart_eqs, p, bases)
+            basis = _saito_basis_at(chart_eqs, p)
             per.append((name, "LOG", w * log_index(v, basis).value))
     for q, mu in dsing:
         mu_total += q.conjugacy_size * mu

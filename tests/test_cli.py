@@ -145,6 +145,21 @@ def test_log_with_explicit_basis(tmp_path):
     assert payload["value"] == "0"
 
 
+@pytest.mark.parametrize("theorem", ["seh", "iso"])
+def test_chart_coordinate_names_do_not_leak(tmp_path, theorem):
+    # the chart coordinates are named u, v and s, w; reusing those names in
+    # another order for x, y, z must not change the answer
+    reports = []
+    for names in (["x", "y", "z"], ["v", "u", "s"]):
+        x, y, z = names
+        doc = {"variables": names,
+               "foliation": {"affine_field": [x, f"2*{y}"], "divisor": f"{x}*{y}*{z}"}}
+        code, payload = run(tmp_path, ["verify", "--theorem", theorem], doc)
+        assert code == 0
+        reports.append((payload["value"], payload["per_point"], payload["ingredients"]))
+    assert reports[0] == reports[1]
+
+
 # -------------------------------------------------------------- determinism
 
 def test_reports_are_deterministic(tmp_path):

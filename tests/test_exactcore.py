@@ -81,6 +81,9 @@ JOIN_OPS = {
     "FieldElem +": lambda d1, d2: _elem(d1) + _elem(d2),
     "MultiPoly *": lambda d1, d2: _poly(d1) * _poly(d2),
     "PowerSeries +": lambda d1, d2: _series(d1) + _series(d2),
+    "PowerSeries + scalar": lambda d1, d2: _series(d1) + _elem(d2),
+    "scalar * MultiPoly": lambda d1, d2: _elem(d1) * _poly(d2),
+    "scalar - PowerSeries": lambda d1, d2: _elem(d1) - _series(d2),
     "substitute": lambda d1, d2: substitute(_poly(d1), {"x": _poly(d2), "y": _poly(d2)}),
     "translate_to_origin": lambda d1, d2: translate_to_origin(_poly(d1), (_elem(d2), _elem(d2))),
 }
@@ -92,6 +95,14 @@ def test_fields_join_the_same_way_everywhere(op):
         JOIN_OPS[op](SQRT2, SQRT3)
     assert JOIN_OPS[op](QQ, SQRT2).descriptor == SQRT2
     assert JOIN_OPS[op](SQRT2, QQ).descriptor == SQRT2
+
+
+def test_scalars_combine_with_series_and_polynomials_on_either_side():
+    s, x = _series(QQ), P2("x")
+    assert Fraction(1, 2) - s == -(s - Fraction(1, 2))
+    assert fe(2) * s == s * 2
+    assert fe(2) * x == x * 2
+    assert fe(2) - x == -(x - 2)
 
 
 def test_factor_refuses_a_coefficient_from_another_extension():

@@ -19,7 +19,12 @@ from conftest import P2, P3
 
 
 def _points(F):
-    return singular_points(F, certify=True)
+    """The singular locus, checked complete by its Poincare-Hopf sum d^2 + d + 1."""
+    pts = singular_points(F)
+    d = F.degree
+    assert sum(p.conjugacy_size * ph_index(localize(F, p)).value
+               for p in pts) == d * d + d + 1
+    return pts
 
 
 RAD = from_affine(P2("x"), P2("y"))
