@@ -12,6 +12,14 @@ Extension fields are deliberately shallow: a computation that would need a
 second extension on top of an existing one fails with ExtensionRequiredError
 carrying the offending univariate polynomial instead of silently flattening
 a tower.
+
+Public constructors (``FieldElem(...)``, ``MultiPoly(...)``, ``of``,
+``constant``, ``variable``, the parser) validate what they are given:
+coordinates are reduced and stripped, coefficients lifted into the
+polynomial's field, zero terms dropped and exponent arity checked.  Results
+computed inside this module, whose invariants already hold by construction,
+go through the trusted ``FieldElem._make`` and ``MultiPoly._make`` instead and
+are not checked again.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +247,15 @@ class FieldElem:
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
+    @staticmethod
+    def _make(descriptor, coefficients):
+        # trusted: ``coefficients`` is a tuple of Fractions, reduced modulo
+        # the minimal polynomial, with no trailing zero
+        self = object.__new__(FieldElem)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "coefficients", coefficients)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("FieldElem is immutable")
 
@@ -245,7 +263,8 @@ class FieldElem:
     def of(value, descriptor=QQ):
         if isinstance(value, FieldElem):
             return value
-        return FieldElem(descriptor, [Fraction(value)])
+        value = Fraction(value)
+        return FieldElem._make(descriptor, (value,) if value else ())
 
     @staticmethod
     def generator(descriptor):
@@ -268,10 +287,10 @@ class FieldElem:
 
     def lift(self, descriptor):
         """Re-express this element in ``descriptor`` (identity, or Q into Q(g))."""
-        if descriptor == self.descriptor:
+        if descriptor is self.descriptor or descriptor == self.descriptor:
             return self
         if not self.descriptor.is_extension:
-            return FieldElem(descriptor, list(self.coefficients))
+            return FieldElem._make(descriptor, self.coefficients)
         raise DescriptorMismatchError(
             f"cannot move element of {self.descriptor!r} into {descriptor!r}")
 
@@ -280,7 +299,7 @@ class FieldElem:
             if not isinstance(other, (int, Fraction)):
                 return None
             other = FieldElem.of(other, self.descriptor)
-        if other.descriptor != self.descriptor:
+        if other.descriptor is not self.descriptor and other.descriptor != self.descriptor:
             desc = _join(self.descriptor, other.descriptor)
             return self.lift(desc), other.lift(desc)
         return (self, other)
@@ -290,15 +309,23 @@ class FieldElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        n = max(len(a.coefficients), len(b.coefficients))
-        ca = list(a.coefficients) + [Fraction(0)] * (n - len(a.coefficients))
-        cb = list(b.coefficients) + [Fraction(0)] * (n - len(b.coefficients))
-        return FieldElem(a.descriptor, [x + y for x, y in zip(ca, cb)])
+        ca, cb = a.coefficients, b.coefficients
+        if len(ca) <= 1 and len(cb) <= 1:
+            s = (ca[0] if ca else 0) + (cb[0] if cb else 0)
+            return FieldElem._make(a.descriptor, (s,) if s else ())
+        if len(ca) < len(cb):
+            ca, cb = cb, ca
+        out = list(ca)
+        for i, c in enumerate(cb):
+            out[i] += c
+        while out and not out[-1]:
+            out.pop()
+        return FieldElem._make(a.descriptor, tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.descriptor, [-c for c in self.coefficients])
+        return FieldElem._make(self.descriptor, tuple(-c for c in self.coefficients))
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, FieldElem)):
@@ -313,7 +340,20 @@ class FieldElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return FieldElem(a.descriptor, _poly_mul_q(list(a.coefficients), list(b.coefficients)))
+        ca, cb = a.coefficients, b.coefficients
+        if len(ca) > len(cb):
+            ca, cb = cb, ca
+        if not ca:
+            return FieldElem._make(a.descriptor, ())
+        if len(ca) == 1:
+            # a nonzero rational times a reduced element stays reduced
+            k = ca[0]
+            return FieldElem._make(a.descriptor, tuple(k * c for c in cb))
+        out = _poly_mul_q(ca, cb)
+        m = a.descriptor.minimal_polynomial
+        if len(out) >= len(m):
+            out = _poly_divmod(out, m)[1]
+        return FieldElem._make(a.descriptor, tuple(out))
 
     __rmul__ = __mul__
 
@@ -321,7 +361,7 @@ class FieldElem:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         if self.is_rational:
-            return FieldElem(self.descriptor, [1 / self.coefficients[0]])
+            return FieldElem._make(self.descriptor, (1 / self.coefficients[0],))
         g, s = _poly_ext_gcd_q(list(self.coefficients), list(self.descriptor.minimal_polynomial))
         # the minimal polynomial is irreducible, so the gcd is a nonzero constant
         if len(g) != 1:
@@ -358,8 +398,11 @@ class FieldElem:
             return self.is_rational and self.as_fraction() == other
         if not isinstance(other, FieldElem):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coefficients == b.coefficients
+        # a rational keeps its coordinates in every field, so values over two
+        # different extensions are equal only when both are that rational
+        if self.coefficients != other.coefficients:
+            return False
+        return self.is_rational or self.descriptor == other.descriptor
 
     def __hash__(self):
         if self.is_rational:
@@ -399,6 +442,24 @@ class FieldElem:
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
+def _graded_lex(k):
+    return sum(k), k
+
+
+def _accumulate(terms, items):
+    """Add (monomial, coefficient) pairs into the term dict ``terms`` in place,
+    dropping a monomial where it cancels; ``items`` has no repeated monomial."""
+    for k, c in items:
+        if k in terms:
+            s = terms[k] + c
+            if s.coefficients:
+                terms[k] = s
+            else:
+                del terms[k]
+        else:
+            terms[k] = c
+
+
 class MultiPoly:
     """A sparse polynomial: a map from exponent vectors to nonzero scalars.
 
@@ -424,6 +485,16 @@ class MultiPoly:
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _make(variables, descriptor, terms):
+        # trusted: ``variables`` is a tuple and ``terms`` maps int exponent
+        # tuples of its arity to nonzero FieldElems over ``descriptor``
+        self = object.__new__(MultiPoly)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
@@ -431,21 +502,25 @@ class MultiPoly:
 
     @staticmethod
     def zero(variables, descriptor=QQ):
-        return MultiPoly(variables, descriptor, {})
+        return MultiPoly._make(tuple(variables), descriptor, {})
 
     @staticmethod
     def constant(value, variables, descriptor=QQ):
         c = value if isinstance(value, FieldElem) else FieldElem.of(value, descriptor)
         if c.descriptor is not descriptor:
             descriptor = _join(descriptor, c.descriptor)
-        return MultiPoly(variables, descriptor, {tuple([0] * len(variables)): c})
+            c = c.lift(descriptor)
+        variables = tuple(variables)
+        return MultiPoly._make(variables, descriptor,
+                               {(0,) * len(variables): c} if c.coefficients else {})
 
     @staticmethod
     def variable(name, variables, descriptor=QQ):
         if name not in variables:
             raise ParseError(f"unknown variable {name!r}")
+        variables = tuple(variables)
         exps = tuple(1 if v == name else 0 for v in variables)
-        return MultiPoly(variables, descriptor, {exps: FieldElem.of(1, descriptor)})
+        return MultiPoly._make(variables, descriptor, {exps: FieldElem.of(1, descriptor)})
 
     # -- basic queries ------------------------------------------------------
 
@@ -482,7 +557,7 @@ class MultiPoly:
         return min(sum(k) for k in self.terms)
 
     def monomials_sorted(self):
-        return sorted(self.terms, key=lambda k: (sum(k), k), reverse=True)
+        return sorted(self.terms, key=_graded_lex, reverse=True)
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
@@ -490,14 +565,14 @@ class MultiPoly:
         return k, self.terms[k]
 
     def homogeneous_part(self, d):
-        return MultiPoly(self.variables, self.descriptor,
-                         {k: c for k, c in self.terms.items() if sum(k) == d})
+        return MultiPoly._make(self.variables, self.descriptor,
+                               {k: c for k, c in self.terms.items() if sum(k) == d})
 
     def lift(self, descriptor):
-        if descriptor == self.descriptor:
+        if descriptor is self.descriptor or descriptor == self.descriptor:
             return self
-        return MultiPoly(self.variables, descriptor,
-                         {k: c.lift(descriptor) for k, c in self.terms.items()})
+        return MultiPoly._make(self.variables, descriptor,
+                               {k: c.lift(descriptor) for k, c in self.terms.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -508,7 +583,7 @@ class MultiPoly:
             return None
         if other.variables != self.variables:
             raise DescriptorMismatchError("polynomials in different variable lists")
-        if other.descriptor != self.descriptor:
+        if other.descriptor is not self.descriptor and other.descriptor != self.descriptor:
             desc = _join(self.descriptor, other.descriptor)
             return self.lift(desc), other.lift(desc)
         return (self, other)
@@ -519,21 +594,23 @@ class MultiPoly:
             return NotImplemented
         a, b = pair
         out = dict(a.terms)
-        for k, c in b.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return MultiPoly(a.variables, a.descriptor, out)
+        _accumulate(out, b.terms.items())
+        return MultiPoly._make(a.variables, a.descriptor, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, self.descriptor, {k: -c for k, c in self.terms.items()})
+        return MultiPoly._make(self.variables, self.descriptor,
+                               {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a + (-b)
+        out = dict(a.terms)
+        _accumulate(out, ((k, -c) for k, c in b.terms.items()))
+        return MultiPoly._make(a.variables, a.descriptor, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -546,10 +623,13 @@ class MultiPoly:
         out = {}
         for ka, ca in a.terms.items():
             for kb, cb in b.terms.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
+                k = tuple(map(_add, ka, kb))
                 c = ca * cb
                 out[k] = out[k] + c if k in out else c
-        return MultiPoly(a.variables, a.descriptor, out)
+        # zeros are dropped only at the end, so a monomial that cancels and
+        # comes back keeps its first place in the term order
+        return MultiPoly._make(a.variables, a.descriptor,
+                               {k: c for k, c in out.items() if c.coefficients})
 
     __rmul__ = __mul__
 
@@ -567,15 +647,17 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
-            other = MultiPoly.constant(other, self.variables, self.descriptor)
+            other = MultiPoly.constant(other, self.variables)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        pair = self._pair(other)
-        a, b = pair
-        return a.terms == b.terms
+        if other.variables != self.variables:
+            raise DescriptorMismatchError("polynomials in different variable lists")
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.variables, self.descriptor, frozenset(self.terms.items())))
+        # FieldElem equality compares across fields, so the field stays out
+        # of the hash, as it does for a rational FieldElem
+        return hash((self.variables, frozenset(self.terms.items())))
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -588,7 +670,7 @@ class MultiPoly:
             nk = list(k)
             nk[i] -= 1
             out[tuple(nk)] = c * k[i]
-        return MultiPoly(self.variables, self.descriptor, out)
+        return MultiPoly._make(self.variables, self.descriptor, out)
 
     def evaluate(self, values):
         """Value at a point; ``values`` maps each variable to a scalar."""
@@ -621,7 +703,7 @@ class MultiPoly:
             e = nk[i]
             nk[i] = 0
             buckets[e][tuple(nk)] = c
-        return [MultiPoly(self.variables, self.descriptor, b) for b in buckets]
+        return [MultiPoly._make(self.variables, self.descriptor, b) for b in buckets]
 
     @staticmethod
     def from_coeffs_in(coeffs, var, variables, descriptor):
@@ -848,21 +930,26 @@ def substitute(poly, assignment):
             return t.lift(desc) if isinstance(t, MultiPoly) else MultiPoly.constant(t, variables, desc)
     else:
         raise PreconditionError("assignment contains no polynomial or series target")
+    one = coerce(1)
     powers = {}
     for v in poly.variables:
-        pw = [coerce(1)]
+        pw = [one]
         target = coerce(targets[v])
         for _ in range(max(poly.degree_in(v), 0)):
             pw.append(pw[-1] * target)
         powers[v] = pw
-    acc = coerce(0)
+    acc = coerce(0) if series else {}
     for k, c in poly.terms.items():
-        term = coerce(c)
+        term = one
         for v, e in zip(poly.variables, k):
             if e:
-                term = term * powers[v][e]
-        acc = acc + term
-    return acc
+                term = powers[v][e] if term is one else term * powers[v][e]
+        c = c.lift(desc)
+        if series:
+            acc = acc + term * c
+        else:
+            _accumulate(acc, ((m, c * d) for m, d in term.terms.items()))
+    return acc if series else MultiPoly._make(one.variables, desc, acc)
 
 
 def translate_to_origin(poly, point):
@@ -907,7 +994,10 @@ def dehomogenize(poly, var):
 # ---------------------------------------------------------------------------
 
 def try_divide(f, g):
-    """Exact quotient f/g, or None when g does not divide f."""
+    """Exact quotient f/g, or None when g does not divide f.
+
+    Quotient terms come in descending graded-lex order.
+    """
     pair = f._pair(g)
     f, g = pair
     if g.is_zero:
@@ -915,21 +1005,31 @@ def try_divide(f, g):
     if f.is_zero:
         return f
     gk, gc = g.leading()
-    q_terms = {}
-    r = f
+    inv = gc.inverse()
+    q = {}
+    if len(g.terms) == 1:
+        # a monomial divides term by term; the shift keeps the term order
+        for k in f.monomials_sorted():
+            dk = tuple(a - b for a, b in zip(k, gk))
+            if min(dk, default=0) < 0:
+                return None
+            q[dk] = f.terms[k] * inv
+        return MultiPoly._make(f.variables, f.descriptor, q)
+    tail = [(k, -c) for k, c in g.terms.items() if k != gk]
+    r = dict(f.terms)
     guard = 0
-    while not r.is_zero:
+    while r:
         guard += 1
         if guard > 200000:
             raise ResourceCapError("division loop guard exceeded")
-        rk, rc = r.leading()
+        rk = max(r, key=_graded_lex)
         dk = tuple(a - b for a, b in zip(rk, gk))
-        if any(d < 0 for d in dk):
+        if min(dk, default=0) < 0:
             return None
-        qc = rc / gc
-        q_terms[dk] = qc
-        r = r - MultiPoly(f.variables, f.descriptor, {dk: qc}) * g
-    return MultiPoly(f.variables, f.descriptor, q_terms)
+        qc = r.pop(rk) * inv
+        q[dk] = qc
+        _accumulate(r, ((tuple(map(_add, dk, k)), qc * c) for k, c in tail))
+    return MultiPoly._make(f.variables, f.descriptor, q)
 
 
 def divides(g, f):

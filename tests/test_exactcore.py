@@ -27,6 +27,7 @@ from folindex.exactcore import (
     squarefree_at,
     substitute,
     translate_to_origin,
+    try_divide,
     univariate_roots,
 )
 
@@ -109,6 +110,24 @@ def test_factor_refuses_a_coefficient_from_another_extension():
     # the coordinates of s in Q(s) must not be read as those of r in Q(r)
     with pytest.raises(DescriptorMismatchError):
         factor_univariate([FieldElem.generator(SQRT3), 1], SQRT2)
+
+
+def test_equality_across_two_extensions_compares_instead_of_raising():
+    assert fe(2, SQRT2) == fe(2, SQRT3)
+    assert hash(fe(2, SQRT2)) == hash(fe(2, SQRT3))
+    assert fe(2, SQRT2) != fe(3, SQRT3)
+    assert FieldElem.generator(SQRT2) != FieldElem.generator(SQRT3)
+    assert FieldElem.generator(SQRT2) != fe(2, SQRT3)
+    assert parse_poly("x + 2", V2, SQRT2) == parse_poly("x + 2", V2, SQRT3)
+    assert parse_poly("x + r", V2, SQRT2) != parse_poly("x + s", V2, SQRT3)
+
+
+def test_polynomial_hash_ignores_the_field_as_equality_does():
+    a = parse_poly("x + y", V2)
+    b = a.lift(SQRT2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({a, parse_poly("x + r*y", V2, SQRT2)}) == 2
 
 
 def test_zero_inverse_rejected():
@@ -308,6 +327,26 @@ def test_divisibility():
         divexact(g, f)
 
 
+@pytest.mark.parametrize("desc", [QQ, SQRT2], ids=["QQ", "QQ(r)"])
+def test_try_divide_quotient_order_and_refusals(desc):
+    def P(text):
+        return parse_poly(text, V2, desc)
+
+    g = P("(x + y^2 - 1)*(x*y - 2) + 3*x^3")
+    for divisor in (P("3*x^2*y"), P("2"), P("x - y + 1"), P("y^2 - 2*x*y + 5")):
+        q = try_divide(g * divisor, divisor)
+        assert q == g
+        assert list(q.terms) == q.monomials_sorted()
+    assert try_divide(g, P("x - y + 1")) is None
+    assert try_divide(P("x^2 + y"), P("x")) is None
+    # a monomial whose exponent exceeds every term of the dividend
+    assert try_divide(P("x^2*y + x*y^3"), P("x^3")) is None
+    assert try_divide(P("x^2*y"), P("y^2")) is None
+    for f in (g, MultiPoly.zero(V2, desc)):
+        with pytest.raises(ZeroDivisionError):
+            try_divide(f, MultiPoly.zero(V2, desc))
+
+
 def test_gcd_bivariate():
     f = P2("x^2 - y^2")
     g = P2("x^2 + 2*x*y + y^2")
@@ -376,3 +415,78 @@ def test_power_series_truncation_window():
     s = PowerSeries.from_dict("t", 4, {3: Fraction(1)})
     assert (s * s).is_zero_up_to_truncation
     assert PowerSeries.zero("t", 4).order() is None
+
+
+# ------------------------------------------------ invariants of every result
+
+def _assert_clean_elem(e, desc):
+    """The checked FieldElem constructor's invariants, over ``desc``."""
+    assert type(e) is FieldElem and e.descriptor == desc
+    cs = e.coefficients
+    assert type(cs) is tuple and all(type(c) is Fraction for c in cs)
+    assert not cs or cs[-1] != 0
+    assert len(cs) <= desc.degree
+    rebuilt = FieldElem(desc, cs)
+    assert rebuilt == e and rebuilt.coefficients == cs
+
+
+def _assert_clean_poly(p, desc):
+    assert type(p) is MultiPoly and p.descriptor == desc
+    assert type(p.variables) is tuple
+    for k, c in p.terms.items():
+        assert type(k) is tuple and len(k) == len(p.variables)
+        assert all(type(e) is int and e >= 0 for e in k)
+        assert not c.is_zero
+        _assert_clean_elem(c, desc)
+    rebuilt = MultiPoly(p.variables, desc, p.terms)
+    assert rebuilt == p and list(rebuilt.terms) == list(p.terms)
+
+
+@st.composite
+def field_elems(draw, desc):
+    a = draw(coeff_st)
+    b = draw(coeff_st) if desc.is_extension else 0
+    return FieldElem(desc, [a, b])
+
+
+@st.composite
+def field_polys(draw, desc, max_degree=3):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=max_degree))
+        j = draw(st.integers(min_value=0, max_value=max_degree - i))
+        terms[(i, j)] = draw(field_elems(desc))
+    return MultiPoly(V2, desc, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, SQRT2]), st.sampled_from([QQ, SQRT2]), st.data())
+def test_every_result_meets_the_checked_invariants(d1, d2, data):
+    desc = SQRT2 if SQRT2 in (d1, d2) else QQ
+    a, b = data.draw(field_polys(d1)), data.draw(field_polys(d2))
+    c, e = data.draw(field_elems(d1)), data.draw(field_elems(d2))
+    for value in (c + e, c - e, c * e):
+        _assert_clean_elem(value, desc)
+    _assert_clean_elem(-c, d1)
+    _assert_clean_elem(c ** 3, d1)
+    if not e.is_zero:
+        _assert_clean_elem(c / e, desc)
+        _assert_clean_elem(e ** -2, d2)
+    for value in (a + b, a - b, a * b, (a + b) * (a - b), b * c, a + e,
+                  substitute(a, {"x": b, "y": a * b}),
+                  substitute(a, {"x": e, "y": b}),
+                  translate_to_origin(a, (c, e))):
+        _assert_clean_poly(value, desc)
+    _assert_clean_poly(-a, d1)
+    _assert_clean_poly(a ** 3, d1)
+    assert a + b - b == a.lift(desc)
+    if not b.is_zero:
+        mono = MultiPoly(V2, d2, {(1, 2): e}) if not e.is_zero else b
+        for divisor in (b, mono):
+            q = try_divide(a * divisor, divisor)
+            _assert_clean_poly(q, desc)
+            assert q == a and list(q.terms) == q.monomials_sorted()
+        q = try_divide(a, b)
+        if q is not None:
+            _assert_clean_poly(q, desc)
+            assert q * b == a
