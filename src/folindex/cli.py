@@ -16,6 +16,7 @@ input, 2 mathematical precondition failure, 3 verified identity fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -449,6 +450,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.lru_cache(maxsize=None)  # built once per process, reused by every main()
 def _build_parser():
     parser = _ArgumentParser(
         prog="folindex",

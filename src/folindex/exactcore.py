@@ -24,6 +24,8 @@ are not checked again.
 
 from __future__ import annotations
 
+import functools
+import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,10 +188,15 @@ class FieldDescriptor:
             raise PreconditionError("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise PreconditionError("minimal polynomial must be monic")
-        from sympy import QQ as SQQ
-        from sympy.polys.rings import ring
+        if len(coeffs) == 3:
+            # a monic quadratic is reducible exactly when its discriminant is a square
+            reducible = _rational_sqrt(coeffs[1] ** 2 - 4 * coeffs[0]) is not None
+        else:
+            from sympy import QQ as SQQ
+            from sympy.polys.rings import ring
 
-        if not ring("_g", SQQ)[0].from_list(_sympy_qq(coeffs)).is_irreducible:
+            reducible = not ring("_g", SQQ)[0].from_list(_sympy_qq(coeffs)).is_irreducible
+        if reducible:
             raise PreconditionError("minimal polynomial is not irreducible over Q")
         return FieldDescriptor("simple-extension", generator_name, coeffs)
 
@@ -813,14 +820,17 @@ class PowerSeries:
             other = FieldElem.of(other, self.descriptor)
             other = PowerSeries(self.variable, self.truncation_order,
                                 [other], other.descriptor)
-        if other.variable != self.variable:
-            raise DescriptorMismatchError("series in different variables")
-        if other.truncation_order != self.truncation_order:
-            raise DescriptorMismatchError("series with different truncation orders")
+        self._check_shape(other)
         if other.descriptor != self.descriptor:
             desc = _join(self.descriptor, other.descriptor)
             return self.lift(desc), other.lift(desc)
         return (self, other)
+
+    def _check_shape(self, other):
+        if other.variable != self.variable:
+            raise DescriptorMismatchError("series in different variables")
+        if other.truncation_order != self.truncation_order:
+            raise DescriptorMismatchError("series with different truncation orders")
 
     def __add__(self, other):
         a, b = self._pair(other)
@@ -863,8 +873,9 @@ class PowerSeries:
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coefficients == b.coefficients
+        self._check_shape(other)
+        # FieldElem equality compares across fields, so no common field is needed
+        return self.coefficients == other.coefficients
 
     def derivative(self):
         """Termwise derivative, truncated at order N-1."""
@@ -1204,18 +1215,30 @@ def _sympy_qq(fractions):
     return [SQQ(c.numerator, c.denominator) for c in reversed(fractions)]
 
 
-def _sympy_ring(descriptor, symbols):
-    """sympy's sparse ring in ``symbols`` over the field, with FieldElem
-    converters into and out of its domain.
+@functools.lru_cache(maxsize=64)
+def _sympy_domain(descriptor):
+    """sympy's domain for the field: QQ, or QQ[g]/(minimal polynomial) built
+    from the exact coefficient list, so no numeric step enters.
 
-    The domain is QQ, or QQ[g]/(minimal polynomial) built from the exact
-    coefficient list, so no numeric step enters.
+    Building the algebraic field costs a ``CRootOf`` and a minimal polynomial,
+    so it is built once per field; the cache is bounded because callers such
+    as the fuzz tests create many fields.
     """
-    from sympy import QQ as SQQ, Poly, Symbol, ring
+    from sympy import QQ as SQQ, Poly, Symbol
+
+    if not descriptor.is_extension:
+        return SQQ
+    return SQQ.alg_field_from_poly(
+        Poly(_sympy_qq(descriptor.minimal_polynomial), Symbol("_g"), domain=SQQ))
+
+
+def _sympy_ring(descriptor, symbols):
+    """sympy's sparse ring in ``symbols`` over the field's domain, with
+    FieldElem converters into and out of that domain."""
+    from sympy import ring
 
     ext = descriptor.is_extension
-    dom = SQQ.alg_field_from_poly(
-        Poly(_sympy_qq(descriptor.minimal_polynomial), Symbol("_g"), domain=SQQ)) if ext else SQQ
+    dom = _sympy_domain(descriptor)
 
     def to_sympy(c):
         c = c.lift(descriptor)
@@ -1234,13 +1257,13 @@ def factor_univariate(coeffs, descriptor):
 
     ``coeffs``: FieldElem (or rational) list, constant term first.  Returns
     (unit FieldElem, list of (factor coefficient list, multiplicity)) with
-    monic factors over ``descriptor``.  Both fields go through sympy's sparse
-    univariate ring: over QQ, or over QQ[g]/(minimal polynomial), where the
-    factorization is norm-based and exact.  If sympy cannot factor over the
-    field, ExtensionRequiredError is raised.
+    monic factors over ``descriptor``.  Over QQ at degree <= 2 the factors
+    come in closed form from the discriminant, in sympy's order.  Everything
+    else goes through sympy's sparse univariate ring: over QQ, or over
+    QQ[g]/(minimal polynomial), where the factorization is norm-based and
+    exact.  If sympy cannot factor over the field, ExtensionRequiredError is
+    raised.
     """
-    from sympy import DomainError
-
     coeffs = [FieldElem.of(c, descriptor) for c in coeffs]
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
@@ -1248,6 +1271,11 @@ def factor_univariate(coeffs, descriptor):
         raise PreconditionError("factorization of the zero polynomial")
     if len(coeffs) == 1:
         return coeffs[0], []
+    if not descriptor.is_extension and len(coeffs) <= 3:
+        return coeffs[-1], [([FieldElem.of(c) for c in fac], mult)
+                            for fac, mult in _factor_low_degree_qq(coeffs)]
+    from sympy import DomainError
+
     R, to_sympy, from_sympy = _sympy_ring(descriptor, "_z")
     try:
         _, factors = R.from_list([to_sympy(c) for c in reversed(coeffs)]).factor_list()
@@ -1258,6 +1286,35 @@ def factor_univariate(coeffs, descriptor):
             descriptor=descriptor)
     return coeffs[-1], [([from_sympy(a) for a in reversed(fac.monic().to_dense())], mult)
                         for fac, mult in factors]
+
+
+def _rational_sqrt(q):
+    """The rational square root of ``q`` >= 0, or None when ``q`` is not a square."""
+    if q < 0:
+        return None
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(n, d) if n * n == q.numerator and d * d == q.denominator else None
+
+
+def _factor_low_degree_qq(coeffs):
+    """Monic factors over Q of a degree 1 or 2 polynomial, as Fraction lists.
+
+    sympy sorts two linear factors z - r by their primitive integer form
+    d*z - n (r = n/d), that is by (d, -n); a double root is one factor of
+    multiplicity 2.
+    """
+    coeffs = [c.lift(QQ).as_fraction() for c in coeffs]
+    monic = [c / coeffs[-1] for c in coeffs]
+    if len(monic) == 2:
+        return [(monic, 1)]
+    q, p, _ = monic
+    s = _rational_sqrt(p * p - 4 * q)
+    if s is None:
+        return [(monic, 1)]
+    if s == 0:
+        return [([p / 2, 1], 2)]
+    roots = sorted(((-p + s) / 2, (-p - s) / 2), key=lambda r: (r.denominator, -r.numerator))
+    return [([-r, 1], 1) for r in roots]
 
 
 _FRESH_NAMES = ("theta", "omega", "zeta", "eta", "xi")

@@ -29,6 +29,7 @@ from folindex.exactcore import (
     translate_to_origin,
     try_divide,
     univariate_roots,
+    _sympy_ring,
 )
 
 from conftest import P2, V2
@@ -120,6 +121,19 @@ def test_equality_across_two_extensions_compares_instead_of_raising():
     assert FieldElem.generator(SQRT2) != fe(2, SQRT3)
     assert parse_poly("x + 2", V2, SQRT2) == parse_poly("x + 2", V2, SQRT3)
     assert parse_poly("x + r", V2, SQRT2) != parse_poly("x + s", V2, SQRT3)
+
+
+def test_series_equality_across_two_extensions_compares_instead_of_raising():
+    def series(desc, coeffs):
+        return PowerSeries("t", 3, [FieldElem(desc, c) for c in coeffs], desc)
+
+    assert series(SQRT2, [[2]]) == series(SQRT3, [[2]])
+    assert series(SQRT2, [[2]]) == series(QQ, [[2]])
+    assert series(SQRT2, [[2]]) != series(SQRT3, [[3]])
+    assert series(SQRT2, [[0, 1]]) != series(SQRT3, [[0, 1]])
+    assert series(SQRT2, [[0, 1]]) != series(QQ, [[0], [1]])
+    with pytest.raises(DescriptorMismatchError):
+        series(QQ, [[1]]) == PowerSeries("t", 4, [1])
 
 
 def test_polynomial_hash_ignores_the_field_as_equality_does():
@@ -214,7 +228,8 @@ def test_factor_univariate_refuses_only_when_sympy_cannot_factor(monkeypatch, de
     from sympy.polys.polyerrors import DomainError
     from sympy.polys.rings import PolyElement
 
-    coeffs = [fe(-3, desc), fe(0, desc), fe(1, desc)]
+    # degree 3: over QQ a degree <= 2 input is factored in closed form
+    coeffs = [fe(-3, desc), fe(0, desc), fe(0, desc), fe(1, desc)]
     for raised, seen in ((DomainError, ExtensionRequiredError), (TypeError, TypeError)):
         def failing(self, raised=raised):
             raise raised("from factor_list")
@@ -222,6 +237,52 @@ def test_factor_univariate_refuses_only_when_sympy_cannot_factor(monkeypatch, de
         monkeypatch.setattr(PolyElement, "factor_list", failing)
         with pytest.raises(seen):
             factor_univariate(coeffs, desc)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def low_degree_qq(draw):
+    """Coefficients (constant first) of a degree 1 or 2 polynomial over Q:
+    arbitrary, with two rational roots, or with a double root."""
+    lead = draw(nonzero_rationals)
+    kind = draw(st.sampled_from(["linear", "quadratic", "split", "double"]))
+    if kind == "linear":
+        return [draw(rationals), lead]
+    if kind == "quadratic":
+        return [draw(rationals), draw(rationals), lead]
+    a = draw(rationals)
+    b = a if kind == "double" else draw(rationals)
+    return [lead * a * b, -lead * (a + b), lead]
+
+
+def _sympy_factors(coeffs):
+    R, to_sympy, from_sympy = _sympy_ring(QQ, "_z")
+    _, factors = R.from_list([to_sympy(fe(c)) for c in reversed(coeffs)]).factor_list()
+    return [([from_sympy(a) for a in reversed(f.monic().to_dense())], m) for f, m in factors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_degree_qq())
+def test_closed_form_factors_match_sympy_in_order(coeffs):
+    unit, factors = factor_univariate(coeffs, QQ)
+    assert unit == fe(coeffs[-1])
+    assert factors == _sympy_factors(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(rationals, rationals),
+                 st.tuples(rationals, rationals).map(lambda ab: (ab[0] * ab[1], -ab[0] - ab[1]))))
+def test_quadratic_extension_refused_exactly_when_reducible(low):
+    minpoly = [low[0], low[1], Fraction(1)]
+    R, to_sympy, _ = _sympy_ring(QQ, "_g")
+    if R.from_list([to_sympy(fe(c)) for c in reversed(minpoly)]).is_irreducible:
+        assert FieldDescriptor.simple_extension("t", minpoly).degree == 2
+    else:
+        with pytest.raises(PreconditionError):
+            FieldDescriptor.simple_extension("t", minpoly)
 
 
 # ----------------------------------------------------------------- poly ring
