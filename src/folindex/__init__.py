@@ -38,8 +38,6 @@ from .exactcore import (
     QQ,
     ResourceCapError,
     SaitoCheckError,
-    dehomogenize,
-    homogenize,
     parse_poly,
     resultant,
     substitute,
@@ -156,12 +154,10 @@ __all__ = [
     "csm_complement",
     "csm_curve",
     "curve_multiplicity",
-    "dehomogenize",
     "divisor_in_charts",
     "euler_obstruction_field",
     "from_affine",
     "gsv_index",
-    "homogenize",
     "index_pairing",
     "indicator_curve",
     "intersection_multiplicity",

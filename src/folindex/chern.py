@@ -164,7 +164,10 @@ class CSMClass:
 def _check_curve_input(k, sing):
     if not isinstance(k, int) or k < 1:
         raise PreconditionError("the curve degree must be a positive integer")
-    return _check_int_tuple(sing, "Milnor numbers")
+    sing = _check_int_tuple(sing, "Milnor numbers")
+    if any(mu < 0 for mu in sing):
+        raise PreconditionError("Milnor numbers must be nonnegative")
+    return sing
 
 
 def csm_curve(k, sing=()):
@@ -191,6 +194,8 @@ def log_chern_snc(degrees):
     caller's assertion and is not checked here.
     """
     degrees = _check_int_tuple(degrees, "component degrees")
+    if any(d < 1 for d in degrees):
+        raise PreconditionError("component degrees must be positive")
     out = ChowClass.tangent(2)
     for d in degrees:
         out = chern_virtual_quotient(out, ChowClass.hyperplane_bundle(2, d))

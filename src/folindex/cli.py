@@ -192,6 +192,15 @@ class _Germ:
         return self.divisor
 
 
+def _load_germ(path, command):
+    """The problem file's field and parsed germ section, for ``command``."""
+    doc, section = _load_document(path)
+    if section != "germ":
+        raise ParseError(f"the {command} command needs a germ section")
+    desc = _parse_field(doc)
+    return doc, desc, _Germ(doc, desc)
+
+
 def _parse(text, variables, descriptor):
     if not isinstance(text, str):
         raise ParseError("expected a polynomial string")
@@ -245,11 +254,7 @@ def _human(payload):
 # -- commands ----------------------------------------------------------------
 
 def _cmd_index(args):
-    doc, section = _load_document(args.input)
-    if section != "germ":
-        raise ParseError("the index command needs a germ section")
-    desc = _parse_field(doc)
-    germ = _Germ(doc, desc)
+    doc, _, germ = _load_germ(args.input, "index")
     v = germ.field
     kind = args.kind
     if kind == "ph":
@@ -303,11 +308,7 @@ def _cmd_verify(args):
 
 
 def _cmd_puiseux(args):
-    doc, section = _load_document(args.input)
-    if section != "germ":
-        raise ParseError("the puiseux command needs a germ section")
-    desc = _parse_field(doc)
-    germ = _Germ(doc, desc)
+    doc, desc, germ = _load_germ(args.input, "puiseux")
     curve = germ.need_divisor()
     origin = (FieldElem.of(0, desc), FieldElem.of(0, desc))
     found = branches(curve, origin, args.precision)
@@ -386,11 +387,7 @@ def _parse_confun_expr(expr, variables, descriptor):
 
 
 def _cmd_confun(args):
-    doc, section = _load_document(args.input)
-    if section != "germ":
-        raise ParseError("the confun command needs a germ section")
-    desc = _parse_field(doc)
-    germ = _Germ(doc, desc)
+    doc, desc, germ = _load_germ(args.input, "confun")
     vs = germ.field.variables
     gamma = _parse_confun_expr(args.expr, vs, desc)
     value = index_pairing(gamma, germ.field)

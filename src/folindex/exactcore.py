@@ -1,12 +1,13 @@
-"""Exact scalar, polynomial and power-series arithmetic.
+"""Exact scalar and polynomial arithmetic.
 
 Scalars are arbitrary-precision rationals or elements of a simple extension
 field Q(g) presented by a monic minimal polynomial; there is no floating
 point anywhere in the package.  On top of the scalars this module provides
-sparse multivariate polynomials, truncated univariate power series, the
-elimination kernels (resultants, gcds, exact division) and the coordinate
-changes (translation, homogenization) that every other module consumes, plus
-the text grammar used by the CLI.
+sparse multivariate polynomials, the elimination kernels (resultants, gcds,
+exact division), substitution and translation, which every other module
+consumes, plus the text grammar used by the CLI.  Truncated univariate power
+series are a value type for showing and comparing results; they carry no
+arithmetic.
 
 Extension fields are deliberately shallow: a computation that would need a
 second extension on top of an existing one fails with ExtensionRequiredError
@@ -712,17 +713,6 @@ class MultiPoly:
             buckets[e][tuple(nk)] = c
         return [MultiPoly._make(self.variables, self.descriptor, b) for b in buckets]
 
-    @staticmethod
-    def from_coeffs_in(coeffs, var, variables, descriptor):
-        i = variables.index(var)
-        terms = {}
-        for e, p in enumerate(coeffs):
-            for k, c in p.terms.items():
-                nk = list(k)
-                nk[i] = nk[i] + e
-                terms[tuple(nk)] = terms[tuple(nk)] + c if tuple(nk) in terms else c
-        return MultiPoly(variables, descriptor, terms)
-
     # -- printing -----------------------------------------------------------
 
     def to_str(self):
@@ -759,26 +749,34 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 class PowerSeries:
-    """A univariate power series truncated at order N.
+    """A univariate power series truncated at order N, as a value.
 
-    ``coefficients`` has length exactly N and covers t^0 .. t^(N-1); nothing
-    is known about higher terms.  ``order`` is the index of the first nonzero
-    coefficient, or None when the series is zero up to the truncation.
+    ``terms`` maps each exponent below N to its nonzero coefficient;
+    nothing is known about t^N and beyond.  Only the nonzero coefficients
+    are stored, so a large N costs nothing.  ``order`` is the smallest
+    exponent with a nonzero coefficient, or None when the series is zero up
+    to the truncation.  There is no series arithmetic: values are computed
+    on polynomials and only shown, compared and inspected as series.
     """
 
-    __slots__ = ("variable", "truncation_order", "coefficients", "descriptor")
+    __slots__ = ("variable", "truncation_order", "terms", "descriptor")
 
     def __init__(self, variable, truncation_order, coefficients, descriptor=QQ):
+        """``coefficients`` lists the coefficients of t^0, t^1, ...; those
+        from t^N on are dropped."""
+        self._init(variable, truncation_order, enumerate(coefficients), descriptor)
+
+    def _init(self, variable, truncation_order, items, descriptor):
         if truncation_order < 1:
             raise PreconditionError("truncation order must be >= 1")
-        coeffs = [c if isinstance(c, FieldElem) else FieldElem.of(c, descriptor)
-                  for c in coefficients]
-        coeffs = coeffs[:truncation_order]
-        coeffs += [FieldElem.of(0, descriptor)] * (truncation_order - len(coeffs))
-        coeffs = [c.lift(descriptor) if c.descriptor != descriptor else c for c in coeffs]
+        terms = {}
+        for e, c in items:
+            c = c if isinstance(c, FieldElem) else FieldElem.of(c, descriptor)
+            if 0 <= e < truncation_order and c.coefficients:
+                terms[e] = c.lift(descriptor)
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "truncation_order", truncation_order)
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "descriptor", descriptor)
 
     def __setattr__(self, *a):
@@ -790,41 +788,21 @@ class PowerSeries:
 
     @staticmethod
     def from_dict(variable, truncation_order, coeff_by_exp, descriptor=QQ):
-        coeffs = [FieldElem.of(0, descriptor)] * truncation_order
-        for e, c in coeff_by_exp.items():
-            if 0 <= e < truncation_order:
-                coeffs[e] = c if isinstance(c, FieldElem) else FieldElem.of(c, descriptor)
-        return PowerSeries(variable, truncation_order, coeffs, descriptor)
+        self = object.__new__(PowerSeries)
+        self._init(variable, truncation_order, coeff_by_exp.items(), descriptor)
+        return self
 
     def order(self):
-        for i, c in enumerate(self.coefficients):
-            if not c.is_zero:
-                return i
-        return None
+        return min(self.terms, default=None)
 
     @property
     def is_zero_up_to_truncation(self):
-        return self.order() is None
+        return not self.terms
 
     def coefficient(self, e):
-        return self.coefficients[e]
-
-    def lift(self, descriptor):
-        if descriptor == self.descriptor:
-            return self
-        return PowerSeries(self.variable, self.truncation_order,
-                           [c.lift(descriptor) for c in self.coefficients], descriptor)
-
-    def _pair(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            other = FieldElem.of(other, self.descriptor)
-            other = PowerSeries(self.variable, self.truncation_order,
-                                [other], other.descriptor)
-        self._check_shape(other)
-        if other.descriptor != self.descriptor:
-            desc = _join(self.descriptor, other.descriptor)
-            return self.lift(desc), other.lift(desc)
-        return (self, other)
+        if not 0 <= e < self.truncation_order:
+            raise IndexError("coefficient beyond the truncation")
+        return self.terms.get(e, FieldElem.of(0, self.descriptor))
 
     def _check_shape(self, other):
         if other.variable != self.variable:
@@ -832,66 +810,17 @@ class PowerSeries:
         if other.truncation_order != self.truncation_order:
             raise DescriptorMismatchError("series with different truncation orders")
 
-    def __add__(self, other):
-        a, b = self._pair(other)
-        return PowerSeries(a.variable, a.truncation_order,
-                           [x + y for x, y in zip(a.coefficients, b.coefficients)], a.descriptor)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries(self.variable, self.truncation_order,
-                           [-c for c in self.coefficients], self.descriptor)
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            c = FieldElem.of(other, self.descriptor)
-            return PowerSeries(self.variable, self.truncation_order,
-                               [x * c for x in self.coefficients],
-                               _join(self.descriptor, c.descriptor))
-        a, b = self._pair(other)
-        n = a.truncation_order
-        out = [FieldElem.of(0, a.descriptor)] * n
-        for i, ai in enumerate(a.coefficients):
-            if ai.is_zero:
-                continue
-            for j in range(n - i):
-                bj = b.coefficients[j]
-                if not bj.is_zero:
-                    out[i + j] = out[i + j] + ai * bj
-        return PowerSeries(a.variable, n, out, a.descriptor)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check_shape(other)
         # FieldElem equality compares across fields, so no common field is needed
-        return self.coefficients == other.coefficients
-
-    def derivative(self):
-        """Termwise derivative, truncated at order N-1."""
-        if self.truncation_order == 1:
-            raise PreconditionError("cannot differentiate a series truncated at order 1")
-        coeffs = [self.coefficients[i] * i for i in range(1, self.truncation_order)]
-        return PowerSeries(self.variable, self.truncation_order - 1, coeffs, self.descriptor)
-
-    def truncate(self, n):
-        return PowerSeries(self.variable, n, list(self.coefficients[:n]), self.descriptor)
+        return self.terms == other.terms
 
     def __repr__(self):
         parts = []
-        for e, c in enumerate(self.coefficients):
-            if c.is_zero:
-                continue
+        for e in sorted(self.terms):
+            c = self.terms[e]
             mono = "1" if e == 0 else (self.variable if e == 1 else f"{self.variable}^{e}")
             cs = c.to_str() if c.is_rational else f"({c.to_str()})"
             parts.append(mono if cs == "1" and e > 0 else (f"{cs}*{mono}" if e > 0 else cs))
@@ -900,47 +829,32 @@ class PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Substitution, translation, (de)homogenization
+# Substitution and translation
 # ---------------------------------------------------------------------------
 
 def substitute(poly, assignment):
     """Evaluate ``poly`` with every variable replaced per ``assignment``.
 
-    All variables of ``poly`` must be assigned.  Targets are either all
-    polynomials (over one shared variable list) or all power series (in one
-    variable, one truncation order); constants may be given as scalars.
-    The composite is exact, truncated at N when any target is a series.
+    All variables of ``poly`` must be assigned.  Targets are polynomials
+    over one shared variable list; constants may be given as scalars.  The
+    composite is exact.
     """
     for v in poly.variables:
         if v not in assignment:
             raise PreconditionError(f"variable {v!r} is not assigned")
     targets = {v: assignment[v] for v in poly.variables}
     desc = _join(poly.descriptor, *(t.descriptor for t in targets.values()
-                                    if isinstance(t, (FieldElem, MultiPoly, PowerSeries))))
-    series = [t for t in targets.values() if isinstance(t, PowerSeries)]
+                                    if isinstance(t, (FieldElem, MultiPoly))))
     polys = [t for t in targets.values() if isinstance(t, MultiPoly)]
-    if series:
-        n, var = series[0].truncation_order, series[0].variable
-        if any(s.truncation_order != n for s in series):
-            raise DescriptorMismatchError("series targets with different truncation orders")
-        if any(s.variable != var for s in series):
-            raise DescriptorMismatchError("series targets in different variables")
-        if not all(t.is_constant for t in polys):
-            raise DescriptorMismatchError("cannot mix series and nonconstant polynomial targets")
+    if not polys:
+        raise PreconditionError("assignment contains no polynomial target")
+    variables = polys[0].variables
+    if any(t.variables != variables for t in polys):
+        raise DescriptorMismatchError("polynomial targets over different variable lists")
 
-        def coerce(t):
-            if isinstance(t, PowerSeries):
-                return t.lift(desc)
-            return PowerSeries(var, n, [t.constant_value() if isinstance(t, MultiPoly) else t], desc)
-    elif polys:
-        variables = polys[0].variables
-        if any(t.variables != variables for t in polys):
-            raise DescriptorMismatchError("polynomial targets over different variable lists")
+    def coerce(t):
+        return t.lift(desc) if isinstance(t, MultiPoly) else MultiPoly.constant(t, variables, desc)
 
-        def coerce(t):
-            return t.lift(desc) if isinstance(t, MultiPoly) else MultiPoly.constant(t, variables, desc)
-    else:
-        raise PreconditionError("assignment contains no polynomial or series target")
     one = coerce(1)
     powers = {}
     for v in poly.variables:
@@ -949,18 +863,15 @@ def substitute(poly, assignment):
         for _ in range(max(poly.degree_in(v), 0)):
             pw.append(pw[-1] * target)
         powers[v] = pw
-    acc = coerce(0) if series else {}
+    acc = {}
     for k, c in poly.terms.items():
         term = one
         for v, e in zip(poly.variables, k):
             if e:
                 term = powers[v][e] if term is one else term * powers[v][e]
         c = c.lift(desc)
-        if series:
-            acc = acc + term * c
-        else:
-            _accumulate(acc, ((m, c * d) for m, d in term.terms.items()))
-    return acc if series else MultiPoly._make(one.variables, desc, acc)
+        _accumulate(acc, ((m, c * d) for m, d in term.terms.items()))
+    return MultiPoly._make(variables, desc, acc)
 
 
 def translate_to_origin(poly, point):
@@ -971,33 +882,6 @@ def translate_to_origin(poly, point):
     desc = _join(poly.descriptor, *(c.descriptor for c in coords))
     return substitute(poly, {v: MultiPoly.variable(v, poly.variables, desc) + c
                              for v, c in zip(poly.variables, coords)})
-
-
-def homogenize(poly, new_var, degree):
-    """Multiply each term by new_var^(degree - total degree of the term)."""
-    d = poly.total_degree()
-    if degree < d:
-        raise PreconditionError("homogenization degree below the total degree")
-    if new_var in poly.variables:
-        raise PreconditionError(f"variable {new_var!r} already present")
-    variables = poly.variables + (new_var,)
-    terms = {}
-    for k, c in poly.terms.items():
-        terms[k + (degree - sum(k),)] = c
-    return MultiPoly(variables, poly.descriptor, terms)
-
-
-def dehomogenize(poly, var):
-    """Set ``var`` to 1 and drop it from the variable list."""
-    if var not in poly.variables:
-        raise PreconditionError(f"variable {var!r} not present")
-    i = poly.variables.index(var)
-    variables = tuple(v for v in poly.variables if v != var)
-    terms = {}
-    for k, c in poly.terms.items():
-        nk = tuple(e for j, e in enumerate(k) if j != i)
-        terms[nk] = terms[nk] + c if nk in terms else c
-    return MultiPoly(variables, poly.descriptor, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +983,11 @@ def _pseudo_rem(f, g, var):
             r.pop()
         if not r:
             break
-    return MultiPoly.from_coeffs_in(r, var, f.variables, f.descriptor) if r else MultiPoly.zero(f.variables, f.descriptor)
+    # every entry of r has var-degree 0, so the entry for var^e moves up to e
+    vi = f.variables.index(var)
+    return MultiPoly._make(f.variables, f.descriptor,
+                           {k[:vi] + (e,) + k[vi + 1:]: c
+                            for e, p in enumerate(r) for k, c in p.terms.items()})
 
 
 def _content_in(p, var, other):

@@ -11,13 +11,16 @@ size recorded on the branch; at most one algebraic extension of the
 ground field is permitted per branch, and inputs that would need a
 second one fail with a structured error instead of an approximation.
 
-A branch whose expansion terminates (the tail is identically zero) is
-marked exact, and later order computations on it run on polynomials
-rather than truncated series, so their answers carry no truncation
-caveat.
+A branch is two polynomials in t and a truncation order N.  A branch
+whose expansion terminates (the tail is identically zero) is marked
+exact and its polynomials are the whole parametrization; an inexact one
+keeps only the terms below t^N.  Every order along a branch comes from
+one composition: substitute the two polynomials, then drop the terms of
+degree >= N unless the branch is exact, so exact answers carry no
+truncation caveat.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .exactcore import (
@@ -44,7 +47,7 @@ _DEPTH_CAP = 1000
 
 
 class _ZeroUpToTruncation:
-    """Sentinel: the composed series vanished at every computed order."""
+    """Sentinel: the composition vanished at every computed order."""
 
     _instance = None
 
@@ -72,24 +75,48 @@ class InsufficientPrecisionError(PreconditionError):
 class Branch:
     """One analytic branch of a plane curve germ, up to Galois conjugacy.
 
-    ``x_series`` and ``y_series`` parametrize the branch in the local
-    coordinates centered at ``point``; ``multiplicity`` is the smaller
-    of their vanishing orders, and ``conjugacy_size`` the number of
-    distinct branches the representative stands for.  When ``exact`` is
-    set the two series are the whole truth: every coefficient beyond the
-    truncation is zero.
+    ``x_poly`` and ``y_poly`` (polynomials in t) parametrize the branch
+    in the local coordinates centered at ``point``; ``multiplicity`` is
+    the smaller of their vanishing orders, and ``conjugacy_size`` the
+    number of distinct branches the representative stands for.  When
+    ``exact`` is set the two polynomials are the whole truth; otherwise
+    they hold the terms below t^``precision`` and nothing is known
+    beyond.  ``x_series`` and ``y_series`` show them truncated at
+    t^``precision``.
     """
 
     descriptor: FieldDescriptor
-    x_series: PowerSeries
-    y_series: PowerSeries
+    x_poly: MultiPoly
+    y_poly: MultiPoly
+    precision: int
     multiplicity: int
     conjugacy_size: int
     exact: bool
     point: tuple
     variables: tuple
-    x_poly: MultiPoly = field(default=None, repr=False, compare=False)
-    y_poly: MultiPoly = field(default=None, repr=False, compare=False)
+
+    @property
+    def x_series(self):
+        return _series(self.x_poly, self.precision)
+
+    @property
+    def y_series(self):
+        return _series(self.y_poly, self.precision)
+
+
+def _series(poly, n):
+    return PowerSeries.from_dict("t", n, {k[0]: c for k, c in poly.terms.items()},
+                                 poly.descriptor)
+
+
+def _below(poly, n):
+    """The terms of a polynomial in t of degree below n."""
+    return MultiPoly._make(poly.variables, poly.descriptor,
+                           {k: c for k, c in poly.terms.items() if k[0] < n})
+
+
+def _t_order(poly):
+    return None if poly.is_zero else min(k[0] for k in poly.terms)
 
 
 @dataclass
@@ -258,10 +285,6 @@ def _edge_children(f, budget, steps, conj, ctx):
             yield g, budget * q - p, steps + [(q, p, c)], conj * cj
 
 
-def _monomial_series(exp, n, desc):
-    return PowerSeries.from_dict("t", n, {exp: FieldElem.of(1, desc)}, desc)
-
-
 def _assemble(path, precision, point, variables):
     desc = _join(*(c.descriptor for _, _, c in path.steps))
     k = len(path.steps)
@@ -277,42 +300,40 @@ def _assemble(path, precision, point, variables):
         shift = tv ** (p * suffix[i + 1])
         y_poly = shift * (y_poly + MultiPoly.constant(c.lift(desc), tvars, desc))
     x_poly = tv ** ramification
-    x_series = _monomial_series(ramification, precision, desc)
-    y_series = PowerSeries.from_dict(
-        "t", precision,
-        {key[0]: c for key, c in y_poly.terms.items()}, desc)
+    if not path.exact:
+        x_poly, y_poly = _below(x_poly, precision), _below(y_poly, precision)
     q1, p1, _ = path.steps[0]
     mult = min(ramification, p1 * suffix[1])
     return Branch(
-        descriptor=desc, x_series=x_series, y_series=y_series,
+        descriptor=desc, x_poly=x_poly, y_poly=y_poly, precision=precision,
         multiplicity=mult, conjugacy_size=path.conjugacy, exact=path.exact,
-        point=point, variables=variables,
-        x_poly=x_poly if path.exact else None,
-        y_poly=y_poly if path.exact else None)
+        point=point, variables=variables)
 
 
 def _axis_branch(which, precision, desc, point, variables):
     tvars = ("t",)
-    tv = MultiPoly.variable("t", tvars, desc)
-    zero_s = PowerSeries.zero("t", precision, desc)
-    t_s = _monomial_series(1, precision, desc)
-    if which == "x-axis":      # the component y = 0
-        xs, ys, xp, yp = t_s, zero_s, tv, MultiPoly.zero(tvars, desc)
-    else:                      # the component x = 0
-        xs, ys, xp, yp = zero_s, t_s, MultiPoly.zero(tvars, desc), tv
-    return Branch(descriptor=desc, x_series=xs, y_series=ys,
+    tv, zero = MultiPoly.variable("t", tvars, desc), MultiPoly.zero(tvars, desc)
+    # the component y = 0 is the x-axis, x = 0 the y-axis
+    xp, yp = (tv, zero) if which == "x-axis" else (zero, tv)
+    return Branch(descriptor=desc, x_poly=xp, y_poly=yp, precision=precision,
                   multiplicity=1, conjugacy_size=1, exact=True,
-                  point=point, variables=variables, x_poly=xp, y_poly=yp)
+                  point=point, variables=variables)
+
+
+def _compose(g, branch, n):
+    """g along the branch: g(x_poly, y_poly), without the terms of degree
+    >= n unless the branch is exact.  g is in the branch's variables and
+    over a field that joins with the branch's."""
+    x, y = branch.variables
+    return _cut(branch, substitute(g, {x: branch.x_poly, y: branch.y_poly}), n)
+
+
+def _cut(branch, poly, n):
+    return poly if branch.exact else _below(poly, n)
 
 
 def _verify_on_curve(branch, f_local):
-    fl = f_local.lift(branch.descriptor) if f_local.descriptor != branch.descriptor else f_local
-    x, y = branch.variables
-    if branch.exact:
-        value = substitute(fl, {x: branch.x_poly, y: branch.y_poly})
-        return value.is_zero
-    value = substitute(fl, {x: branch.x_series, y: branch.y_series})
-    return value.is_zero_up_to_truncation
+    return _compose(f_local, branch, branch.precision).is_zero
 
 
 def branches(f, p, precision):
@@ -375,15 +396,7 @@ def ord_along_branch(branch, g):
     """Vanishing order of g composed with the branch parametrization."""
     if tuple(g.variables) != tuple(branch.variables):
         raise PreconditionError("polynomial variables do not match the branch")
-    gt = _localized(g, branch)
-    x, y = branch.variables
-    if branch.exact:
-        value = substitute(gt, {x: branch.x_poly, y: branch.y_poly})
-        if value.is_zero:
-            return ZERO_UP_TO_TRUNCATION
-        return min(k[0] for k in value.terms)
-    value = substitute(gt, {x: branch.x_series, y: branch.y_series})
-    o = value.order()
+    o = _t_order(_compose(_localized(g, branch), branch, branch.precision))
     return ZERO_UP_TO_TRUNCATION if o is None else o
 
 
@@ -394,72 +407,50 @@ def nash_lift_order(branch, v):
     by t^(m-1), whose leading component is a unit; the order of the field
     along the branch relative to that frame is the order of the matching
     component of the composed field.  Fields that are not tangent to the
-    branch, or vanish identically along it, are rejected.
+    branch, or vanish identically along it, are rejected.  On an inexact
+    branch the derivative, and so every product below, is known only
+    below t^(N-1).
     """
     a, b = v
     if tuple(a.variables) != tuple(branch.variables) or tuple(b.variables) != tuple(branch.variables):
         raise PreconditionError("vector field variables do not match the branch")
-    at = _localized(a, branch)
-    bt = _localized(b, branch)
-    x, y = branch.variables
-    m = branch.multiplicity
-    if branch.exact:
-        xd = branch.x_poly.diff("t")
-        yd = branch.y_poly.diff("t")
-        av = substitute(at, {x: branch.x_poly, y: branch.y_poly})
-        bv = substitute(bt, {x: branch.x_poly, y: branch.y_poly})
-        cross = av * yd - bv * xd
-        if not cross.is_zero:
-            raise NonTangentError("vector field is not tangent to the branch")
-        def t_ord(poly):
-            return None if poly.is_zero else min(k[0] for k in poly.terms)
-        comp = av if t_ord(xd) == m - 1 else bv
-        o = t_ord(comp)
-        if o is None:
-            raise PreconditionError("vector field vanishes along the branch")
-        return o
-    if branch.x_series.truncation_order < 2:
+    n = branch.precision - 1
+    if n < 1 and not branch.exact:
         raise PreconditionError("precision too small to differentiate the branch")
-    xd = branch.x_series.derivative()
-    yd = branch.y_series.derivative()
-    av = substitute(at, {x: branch.x_series, y: branch.y_series}).truncate(xd.truncation_order)
-    bv = substitute(bt, {x: branch.x_series, y: branch.y_series}).truncate(xd.truncation_order)
-    cross = av * yd - bv * xd
-    if not cross.is_zero_up_to_truncation:
+    xd = branch.x_poly.diff("t")
+    yd = branch.y_poly.diff("t")
+    av = _compose(_localized(a, branch), branch, n)
+    bv = _compose(_localized(b, branch), branch, n)
+    if not _cut(branch, av * yd - bv * xd, n).is_zero:
         raise NonTangentError("vector field is not tangent to the branch")
-    comp = av if xd.order() == m - 1 else bv
-    o = comp.order()
+    o = _t_order(av if _t_order(xd) == branch.multiplicity - 1 else bv)
     if o is None:
+        if branch.exact:
+            raise PreconditionError("vector field vanishes along the branch")
         # indistinguishable from a field vanishing on the whole branch;
         # a larger truncation may still separate the two
         raise InsufficientPrecisionError(
             "vector field vanishes along the branch up to the truncation",
-            suggested_precision=2 * branch.x_series.truncation_order)
+            suggested_precision=2 * branch.precision)
     return o
-
-
-def _compose_series(outer, inner):
-    n = outer.truncation_order
-    desc = _join(outer.descriptor, inner.descriptor)
-    outer, inner = outer.lift(desc), inner.lift(desc)
-    acc = PowerSeries.zero(outer.variable, n, desc)
-    for k in range(n - 1, -1, -1):
-        acc = acc * inner + outer.coefficients[k]
-    return acc
 
 
 def reparametrize(branch, inner):
     """The same branch traversed through t -> inner(t) (inner a unit times t).
 
-    Exactness is dropped: the composed series are only known to the
-    truncation.  Used to exercise reparametrization invariance.
+    ``inner`` is a series in t at the branch's truncation order.  Exactness
+    is dropped: the composed polynomials are only known to the truncation.
+    Used to exercise reparametrization invariance.
     """
     if inner.order() != 1:
         raise PreconditionError("reparametrization must vanish to order exactly 1")
-    xs = _compose_series(branch.x_series, inner)
-    ys = _compose_series(branch.y_series, inner)
-    desc = xs.descriptor
-    return Branch(descriptor=desc, x_series=xs, y_series=ys,
+    branch.x_series._check_shape(inner)
+    n = branch.precision
+    s = MultiPoly._make(("t",), inner.descriptor, {(e,): c for e, c in inner.terms.items()})
+    # terms of degree >= n stay there under a map of order 1, so cut first
+    xp, yp = (_below(substitute(_below(p, n), {"t": s}), n)
+              for p in (branch.x_poly, branch.y_poly))
+    return Branch(descriptor=xp.descriptor, x_poly=xp, y_poly=yp, precision=n,
                   multiplicity=branch.multiplicity,
                   conjugacy_size=branch.conjugacy_size, exact=False,
                   point=branch.point, variables=branch.variables)

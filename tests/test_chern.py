@@ -90,6 +90,17 @@ def test_csm_complement_components():
     assert csm_complement(3, (2,)).components == (1, 0, 1)
 
 
+def test_ill_posed_curve_data_is_refused():
+    for bad in ((-5,), (1, -1)):
+        with pytest.raises(PreconditionError):
+            csm_curve(3, bad)
+        with pytest.raises(PreconditionError):
+            csm_complement(3, bad)
+    for bad in ([0, -2], [1, 0], [-1]):
+        with pytest.raises(PreconditionError):
+            log_chern_snc(bad)
+
+
 def test_log_chern_snc():
     assert log_chern_snc([1, 1, 1]).coefficients == (1, 0, 0)
     assert log_chern_snc([1]).coefficients == (1, 2, 1)

@@ -1,6 +1,8 @@
 """Command-line driver: problem files in, reports out, exit codes honest."""
 
 import json
+import pathlib
+import resource
 import subprocess
 import sys
 
@@ -256,6 +258,17 @@ def test_non_invariant_divisor(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("chern", [
+    {"kind": "curve", "degree": 3, "milnor_numbers": [-5]},
+    {"kind": "complement", "degree": 3, "milnor_numbers": [-5]},
+    {"kind": "snc", "degrees": [0, -2]},
+])
+def test_ill_posed_chern_data_is_exit_2(tmp_path, chern):
+    code, payload = run(tmp_path, ["chern"], {"variables": [], "chern": chern})
+    assert code == 2
+    assert payload is None
+
+
 def test_reducible_minpoly_is_refused(tmp_path):
     # over r^2 - 2 the index is 1, over r^2 - 3 it is 2: not a field, no answer
     doc = {"variables": ["x", "y"],
@@ -276,6 +289,23 @@ def test_minpoly_with_large_constant_term_finishes(tmp_path):
         env=subprocess_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("PH = 1")
+
+
+def _cap_address_space():
+    # a child that tries to allocate per truncation slot fails fast (exit 1)
+    # instead of pushing the machine into swap
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_truncation_order_answers_without_exhausting_memory():
+    cusp = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "problems" / "cusp_hamiltonian.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "folindex.cli", "puiseux", "--precision", "1000000000",
+         "--input", str(cusp)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=30,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert "t^2 + O(t^1000000000)" in proc.stdout
 
 
 # ------------------------------------------------------------------ exit 3

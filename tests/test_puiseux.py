@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from folindex.exactcore import NonReducedError, PreconditionError
+from folindex.exactcore import DescriptorMismatchError, NonReducedError, PreconditionError
 from folindex.puiseux import (
     ZERO_UP_TO_TRUNCATION,
     InsufficientPrecisionError,
@@ -134,14 +134,27 @@ def test_nash_lift_on_node_branches():
 
 
 def test_order_invariant_under_reparametrization():
-    b = expand("y^2 - x^3", precision=24)[0]
-    inner = PowerSeries.from_dict("t", b.x_series.truncation_order,
-                                  {1: Fraction(1), 2: Fraction(1)})
-    rb = reparametrize(b, inner)
-    assert not rb.exact
-    for text in ("y", "x", "x + y", "y^2 + x^3"):
-        assert ord_along_branch(rb, P2(text)) == ord_along_branch(b, P2(text))
-    assert nash_lift_order(rb, (P2("2*y"), P2("3*x^2"))) == 3
+    for curve, precision, field in (
+            ("y^2 - x^3", 24, ("2*y", "3*x^2")),
+            # an inexact branch: its polynomials hold only the terms below t^32
+            ("y^2 - x^3 - x^4", 32, ("2*y", "3*x^2 + 4*x^3"))):
+        b = expand(curve, precision=precision)[0]
+        inner = PowerSeries.from_dict("t", b.x_series.truncation_order,
+                                      {1: Fraction(1), 2: Fraction(1)})
+        rb = reparametrize(b, inner)
+        assert not rb.exact
+        for text in ("y", "x", "x + y", "y^2 + x^3", curve):
+            assert ord_along_branch(rb, P2(text)) == ord_along_branch(b, P2(text)), curve
+        assert nash_lift_order(rb, (P2(field[0]), P2(field[1]))) == 3, curve
+
+
+def test_reparametrization_needs_the_same_series_shape():
+    b = expand("y^2 - x^3")[0]
+    n = b.x_series.truncation_order
+    for inner in (PowerSeries.from_dict("t", n + 1, {1: Fraction(1)}),
+                  PowerSeries.from_dict("s", n, {1: Fraction(1)})):
+        with pytest.raises(DescriptorMismatchError):
+            reparametrize(b, inner)
 
 
 def test_reparametrization_needs_unit():
