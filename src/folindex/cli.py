@@ -8,9 +8,9 @@ library's IndexReport/GlobalReport with every integer serialized as a
 decimal string, and echo the problem so a report alone reproduces its
 own computation.
 
-Exit codes: 0 success (and, for verify, theorem holds), 1 malformed
-input, 2 mathematical precondition failure, 3 verified identity fails,
-4 resource cap reached.
+Exit codes: 0 success (and, for verify, theorem holds), 1 malformed or
+unreadable input or an unwritable report, 2 mathematical precondition
+failure, 3 verified identity fails, 4 resource cap reached.
 """
 
 from __future__ import annotations
@@ -109,6 +109,10 @@ def _load_document(path):
         raise ParseError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}")
+    except RecursionError:
+        raise ParseError(f"{path} nests too deeply to read")
     _check_keys(doc, "the problem file", ("variables",),
                 ("field", "germ", "foliation", "chern", "schema_version"))
     if "schema_version" in doc and str(doc["schema_version"]) != SCHEMA_VERSION:
@@ -506,9 +510,13 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return 1
     for line in _human(payload):
         print(line)
     return code

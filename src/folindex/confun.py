@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactcore import NonReducedError, PreconditionError, squarefree_at, translate_to_origin
-from .indices import _adaptive, euler_obstruction_field, ph_index
-from .localmult import milnor_number
+from .indices import _adaptive, _LocalCurve, euler_obstruction_field, ph_index
+from .localmult import _milnor_of_reduced
 
 _ORIGIN = (0, 0)
 
@@ -58,9 +58,11 @@ def _make_record(f, point):
         raise PreconditionError("curve does not pass through the basepoint")
     if not squarefree_at(f, point):
         raise NonReducedError("curve equation has a repeated factor through the basepoint")
-    mu = milnor_number(fl, _ORIGIN)
+    # both checked above: the curve passes through the point and is reduced there
+    mu = _milnor_of_reduced(fl, _ORIGIN)
     summary = _adaptive(
-        fl, lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
+        _LocalCurve(fl, checked=True),
+        lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
     return CurveRecord(key=f.to_str(), poly=f, point=point,
                        mult=m, mu=mu, branch_summary=summary)
 

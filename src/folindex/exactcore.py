@@ -875,11 +875,17 @@ def substitute(poly, assignment):
 
 
 def translate_to_origin(poly, point):
-    """The polynomial poly(x + p) in the same variables: p becomes the origin."""
+    """The polynomial poly(x + p) in the same variables: p becomes the origin.
+
+    The result lives over the join of the polynomial's field and the
+    point's; translating by the origin only moves into that field.
+    """
     coords = [FieldElem.of(c) for c in point]
     if len(coords) != len(poly.variables):
         raise PreconditionError("point arity does not match the variable list")
     desc = _join(poly.descriptor, *(c.descriptor for c in coords))
+    if coords and all(c.is_zero for c in coords):
+        return poly.lift(desc)
     return substitute(poly, {v: MultiPoly.variable(v, poly.variables, desc) + c
                              for v, c in zip(poly.variables, coords)})
 

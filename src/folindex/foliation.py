@@ -272,7 +272,13 @@ def is_log_along(foliation, H):
     The derivative is taken along the chart field; invariance of each
     component of the divisor in every chart is exactly this divisibility.
     """
-    for germ, h in zip(foliation.charts, divisor_in_charts(foliation, H)):
+    return _log_along_charts(foliation, divisor_in_charts(foliation, H))
+
+
+def _log_along_charts(foliation, chart_eqs):
+    """:func:`is_log_along` on chart equations already built by
+    :func:`divisor_in_charts`."""
+    for germ, h in zip(foliation.charts, chart_eqs):
         if h.is_constant:
             continue
         a, b = germ.components

@@ -3,7 +3,12 @@
 Every operation takes the germ together with the curves it interacts
 with in one shared ambient coordinate system; the basepoint recorded on
 the germ is where everything is localized, and all colength and branch
-computations happen after translating that point to the origin.
+computations happen after translating that point to the origin.  Each
+germ and curve is localized once per computation: a curve becomes a
+``_LocalCurve`` that carries its reducedness proof and its branch
+expansions, so the Euler obstruction, the Milnor number and the
+irreducibility test of one computation share them instead of
+translating, checking and expanding again.
 
 The computable surface is: the Poincare-Hopf index as a colength, the
 Euler obstruction pairing of the field with an invariant curve through
@@ -31,8 +36,13 @@ from .exactcore import (
     translate_to_origin,
     try_divide,
 )
-from .localmult import INFINITE, curve_multiplicity, intersection_multiplicity, milnor_number
-from .puiseux import InsufficientPrecisionError, branches, nash_lift_order
+from .localmult import (
+    INFINITE,
+    _milnor_of_reduced,
+    curve_multiplicity,
+    intersection_multiplicity,
+)
+from .puiseux import InsufficientPrecisionError, _checked_germ, _germ_branches, nash_lift_order
 
 _ORIGIN = (Fraction(0), Fraction(0))
 _DEFAULT_CAP = 512
@@ -102,6 +112,41 @@ def _localize_curve(v, f):
     return translate_to_origin(f, v.basepoint)
 
 
+class _LocalCurve:
+    """A curve germ translated to the origin, for the length of one computation.
+
+    The checks of ``puiseux.branches`` (the curve passes through the
+    origin and is reduced there) run once, when branches are first asked
+    for, or never when ``checked`` says the caller has proved both.  Each
+    precision is expanded at most once, and one that failed to certify
+    fails again without being expanded again.
+    """
+
+    def __init__(self, poly, checked=False):
+        self.poly = poly
+        self.checked = checked
+        self._expansions = {}
+
+    def branches(self, precision):
+        if not self.checked:
+            _checked_germ(self.poly, _ORIGIN)
+            self.checked = True
+        if precision not in self._expansions:
+            try:
+                self._expansions[precision] = _germ_branches(
+                    self.poly, precision, _ORIGIN, self.poly.variables)
+            except InsufficientPrecisionError as exc:
+                self._expansions[precision] = exc
+        found = self._expansions[precision]
+        if isinstance(found, InsufficientPrecisionError):
+            raise found
+        return found
+
+
+def _local_curve(v, f, checked=False):
+    return _LocalCurve(_localize_curve(v, f), checked)
+
+
 def _vanishes_at_origin(poly):
     zero = (0,) * len(poly.variables)
     return zero not in poly.terms
@@ -133,13 +178,14 @@ def is_logarithmic(v, f):
     return try_divide(vf, fl) is not None
 
 
-def _adaptive(f_local, work):
-    """Run ``work(branches)`` with doubling precision until it certifies."""
+def _adaptive(curve, work):
+    """Run ``work(branches)`` on a ``_LocalCurve`` with doubling precision
+    until it certifies."""
     cap = _precision_cap()
-    prec = min(max(8, 2 * max(f_local.total_degree(), 1)), cap)
+    prec = min(max(8, 2 * max(curve.poly.total_degree(), 1)), cap)
     while True:
         try:
-            return work(branches(f_local, _ORIGIN, prec))
+            return work(curve.branches(prec))
         except InsufficientPrecisionError:
             if prec >= cap:
                 raise ResourceCapError(
@@ -149,10 +195,10 @@ def _adaptive(f_local, work):
             prec = min(2 * prec, cap)
 
 
-def _certified_branch_orders(v, f_local):
+def _certified_branch_orders(v, curve):
     """(branch, lift order) pairs at adaptively chosen precision."""
     a, b = v.components
-    return _adaptive(f_local, lambda bs: [(br, nash_lift_order(br, (a, b))) for br in bs])
+    return _adaptive(curve, lambda bs: [(br, nash_lift_order(br, (a, b))) for br in bs])
 
 
 def euler_obstruction_field(v, f):
@@ -162,11 +208,17 @@ def euler_obstruction_field(v, f):
     test f | v(f) and the branchwise tangency test must agree, and either
     failing is an error.
     """
-    fl = _localize_curve(v, f)
-    vf, fl = _derivation_applied(v, fl)
+    return _euler_obstruction_local(v, _local_curve(v, f))
+
+
+def _euler_obstruction_local(v, curve):
+    vf, fl = _derivation_applied(v, curve.poly)
     if try_divide(vf, fl) is None:
         raise NonTangentError("field does not preserve the curve ideal: f does not divide v(f)")
-    pairs = _certified_branch_orders(v, fl)
+    if fl is not curve.poly:
+        # the field lives over a larger field, where the branches may split
+        curve = _LocalCurve(fl, curve.checked)
+    pairs = _certified_branch_orders(v, curve)
     orders = tuple(o for _, o in pairs)
     conj = tuple(br.conjugacy_size for br, _ in pairs)
     value = sum(o * c for o, c in zip(orders, conj))
@@ -178,10 +230,15 @@ def euler_obstruction_field(v, f):
 
 def gsv_index(v, f):
     """Euler obstruction corrected by Milnor number and multiplicity."""
-    fl = _localize_curve(v, f)
-    eu = euler_obstruction_field(v, f)
-    mu = milnor_number(fl, _ORIGIN)
-    m = curve_multiplicity(fl, _ORIGIN)
+    return _gsv(v, _local_curve(v, f))
+
+
+def _gsv(v, curve):
+    eu = _euler_obstruction_local(v, curve)
+    # the branch expansion has proved the curve passes through the origin
+    # and is reduced there
+    mu = _milnor_of_reduced(curve.poly, _ORIGIN)
+    m = curve_multiplicity(curve.poly, _ORIGIN)
     value = eu.value + 1 - mu - m
     return IndexReport("GSV", value, {
         "euler_obstruction": eu.value,
@@ -193,7 +250,11 @@ def gsv_index(v, f):
 
 def schwartz_index(v, f):
     """GSV index shifted back by the Milnor number (n = 2 sign)."""
-    g = gsv_index(v, f)
+    return _schwartz_of(gsv_index(v, f))
+
+
+def _schwartz_of(g):
+    """The Schwartz report derived from a GSV report."""
     mu = g.ingredients["milnor"]
     value = g.value + mu
     ing = dict(g.ingredients)
@@ -273,10 +334,11 @@ def _one_branch(bs):
 
 def mu_along_curve(v, curve):
     """Multiplicity of the field along an irreducible invariant curve germ."""
-    fl = _localize_curve(v, curve)
-    if not _adaptive(fl, _one_branch):
+    local = _local_curve(v, curve)
+    if not _adaptive(local, _one_branch):
         raise PreconditionError("curve germ is not irreducible")
-    s = schwartz_index(v, curve)
+    # the Euler obstruction starts from the branches just expanded
+    s = _schwartz_of(_gsv(v, local))
     ing = dict(s.ingredients)
     ing["schwartz"] = s.value
     return IndexReport("MU_ALONG_CURVE", s.value, ing)

@@ -146,6 +146,12 @@ def milnor_number(f, p):
         raise PreconditionError("point is not on the curve")
     if not squarefree_at(f, p):
         raise PreconditionError("curve is not reduced at the point")
+    return _milnor_of_reduced(f, p)
+
+
+def _milnor_of_reduced(f, p):
+    """:func:`milnor_number` for a caller that has already proved f
+    vanishes and is reduced at p, so neither is checked again."""
     x, y = f.variables
     fx, fy = f.diff(x), f.diff(y)
     point = {v: c for v, c in zip(f.variables, p)}

@@ -350,25 +350,37 @@ def branches(f, p, precision):
         raise PreconditionError("branch expansion of the zero polynomial")
     if len(f.variables) != 2:
         raise PreconditionError("branch expansion needs exactly two variables")
+    return _germ_branches(_checked_germ(f, p), precision, p, f.variables)
+
+
+def _checked_germ(f, p):
+    """f translated to the origin, once it is known to vanish and be reduced at p."""
     ft = translate_to_origin(f, p)
     if _origin_coeff(ft) is not None:
         raise PreconditionError("point is not on the curve")
     if not squarefree_at(f, p):
         raise NonReducedError("curve is not reduced at the point")
+    return ft
+
+
+def _germ_branches(ft, precision, p, variables):
+    """The expansion half of :func:`branches`: ft is the checked germ
+    translated from p to the origin, and the branches record p and
+    ``variables``."""
     total_mult = ft.order_at_origin()
     x, y = ft.variables
     work = ft
     out = []
     if _divisible_by(work, 0):
         work = divexact(work, MultiPoly.variable(x, work.variables, work.descriptor))
-        out.append(_axis_branch("y-axis", precision, work.descriptor, p, f.variables))
+        out.append(_axis_branch("y-axis", precision, work.descriptor, p, variables))
     if _divisible_by(work, 1):
         work = divexact(work, MultiPoly.variable(y, work.variables, work.descriptor))
-        out.append(_axis_branch("x-axis", precision, work.descriptor, p, f.variables))
+        out.append(_axis_branch("x-axis", precision, work.descriptor, p, variables))
     if _origin_coeff(work) is None:
         ctx = {"fresh": 0}
         for path in _expand(work, precision, ctx):
-            out.append(_assemble(path, precision, p, f.variables))
+            out.append(_assemble(path, precision, p, variables))
     for b in out:
         if not _verify_on_curve(b, ft):
             raise InsufficientPrecisionError(

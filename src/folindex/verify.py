@@ -40,14 +40,14 @@ from .exactcore import (
 )
 from .foliation import (
     _chart_zeros,
+    _log_along_charts,
     _vanishes_at,
     divisor_in_charts,
-    is_log_along,
     localize,
     singular_points,
 )
-from .indices import auto_saito_basis, gsv_index, log_index, ph_index, schwartz_index
-from .localmult import milnor_number
+from .indices import _gsv, _local_curve, _schwartz_of, auto_saito_basis, log_index, ph_index
+from .localmult import _milnor_of_reduced
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,17 @@ def _local_divisor(chart_eqs, point):
     return chart_eqs[point.chart].lift(point.descriptor)
 
 
+def _divisor_gsv(v, chart_eqs, point):
+    """GSV index of the field at a point on the divisor.
+
+    ``divisor_in_charts`` has proved every chart equation reduced (a
+    repeated factor of H shows in chart 0 or, when it is a power of the
+    infinity coordinate, in chart 1), and the point lies on the divisor,
+    so the branch expansion skips both checks.
+    """
+    return _gsv(v, _local_curve(v, _local_divisor(chart_eqs, point), checked=True))
+
+
 def _on_divisor(chart_eqs, point):
     return _vanishes_at((chart_eqs[point.chart],), point)
 
@@ -92,13 +103,15 @@ def _divisor_singularities(chart_eqs):
         a, b = divexact(a, g), divexact(b, g)
     chart_polys = [(a, b, h0)] + [(h, *(h.diff(v) for v in h.variables))
                                   for h in (h1, h2)]
-    return [(q, milnor_number(_local_divisor(chart_eqs, q), q.coordinates))
+    # each q is a zero of its chart equation, which divisor_in_charts has
+    # proved reduced (see _divisor_gsv)
+    return [(q, _milnor_of_reduced(_local_divisor(chart_eqs, q), q.coordinates))
             for q in _chart_zeros(chart_polys)]
 
 
 def _checked_divisor(foliation, H):
     chart_eqs = divisor_in_charts(foliation, H)
-    if not is_log_along(foliation, H):
+    if not _log_along_charts(foliation, chart_eqs):
         raise NotLogarithmicError(
             "foliation is not logarithmic along the divisor")
     return chart_eqs
@@ -206,11 +219,11 @@ def verify_isolated(foliation, H):
             per.append((name, "PH", w * ph))
             rhs_schwartz += w * ph
             continue
-        h = _local_divisor(chart_eqs, p)
-        rhs_schwartz += w * (ph - schwartz_index(v, h).value)
+        gsv = _divisor_gsv(v, chart_eqs, p)
+        rhs_schwartz += w * (ph - _schwartz_of(gsv).value)
         if _divisor_singular_at(chart_eqs, p):
             per.append((name, "PH", w * ph))
-            per.append((name, "GSV", -w * gsv_index(v, h).value))
+            per.append((name, "GSV", -w * gsv.value))
         else:
             basis = _saito_basis_at(chart_eqs, p)
             per.append((name, "LOG", w * log_index(v, basis).value))
@@ -242,9 +255,8 @@ def verify_total_gsv(foliation, H):
         if not _on_divisor(chart_eqs, p):
             continue
         v = localize(foliation, p)
-        h = _local_divisor(chart_eqs, p)
         per.append((p.projective_string(), "GSV",
-                    p.conjugacy_size * gsv_index(v, h).value))
+                    p.conjugacy_size * _divisor_gsv(v, chart_eqs, p).value))
     rhs = sum(val for _, _, val in per)
     return GlobalReport(
         "TOTAL_GSV", lhs, rhs, tuple(per), lhs == rhs,

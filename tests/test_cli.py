@@ -203,6 +203,32 @@ def test_malformed_json(tmp_path):
     assert cli.main(["index", "--kind", "ph", "--input", str(path)]) == 1
 
 
+def _run_cli(argv):
+    return subprocess.run([sys.executable, "-m", "folindex.cli", *argv],
+                          env=subprocess_env(), capture_output=True, text=True,
+                          timeout=30)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_unreadable_problem_file_is_exit_1(tmp_path, content):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    proc = _run_cli(["index", "--kind", "ph", "--input", str(path)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_unwritable_report_path_is_exit_1(tmp_path):
+    report = tmp_path / "missing" / "report.json"
+    proc = _run_cli(["verify", "--theorem", "seh", "--json", str(report),
+                     "--input", write_problem(tmp_path, DIAG_FOL)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {report}: ")
+
+
 def test_two_sections_rejected(tmp_path):
     doc = {"variables": ["x", "y"],
            "germ": {"vector_field": ["x", "y"]},

@@ -27,6 +27,7 @@ from folindex.exactcore import (
     translate_to_origin,
     try_divide,
     univariate_roots,
+    _join,
     _sympy_ring,
 )
 
@@ -356,6 +357,35 @@ def test_translate_to_origin():
     zero = {"x": Fraction(0), "y": Fraction(0)}
     assert g.evaluate(zero) == f.evaluate({"x": Fraction(1), "y": Fraction(1)})
     assert g == P2("(y + 1)^2 - (x + 1)^3")
+
+
+def _translated_by_substitution(f, point):
+    coords = [FieldElem.of(c) for c in point]
+    desc = _join(f.descriptor, *(c.descriptor for c in coords))
+    return substitute(f, {v: MultiPoly.variable(v, f.variables, desc) + c
+                          for v, c in zip(f.variables, coords)})
+
+
+@pytest.mark.parametrize("text, desc, point", [
+    ("y^2 - x^3 + 2*x*y - 5", QQ, (Fraction(0), Fraction(0))),
+    ("y^2 - x^3 + 2*x*y - 5", QQ, (0, 0)),
+    ("y^2 - x^3 + 2*x*y - 5", QQ, (fe(0, SQRT2), fe(0, SQRT2))),
+    ("x^2*y - r*y + 1", SQRT2, (fe(0), fe(0))),
+], ids=["Q-fractions", "Q-ints", "Q-poly-Q(r)-point", "Q(r)-poly"])
+def test_translate_to_origin_by_zero_matches_substitution(text, desc, point):
+    f = parse_poly(text, V2, desc)
+    got = translate_to_origin(f, point)
+    want = _translated_by_substitution(f, point)
+    assert got.descriptor == want.descriptor
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(c.descriptor == want.descriptor for c in got.terms.values())
+
+
+def test_translate_to_origin_by_zero_keeps_the_arity_check():
+    with pytest.raises(PreconditionError, match="arity"):
+        translate_to_origin(P2("x + y"), (0,))
+    with pytest.raises(PreconditionError, match="arity"):
+        translate_to_origin(P2("x + y"), (0, 0, 0))
 
 
 def test_divisibility():

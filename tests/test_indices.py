@@ -10,6 +10,7 @@ from folindex.exactcore import (
     MissingInputError,
     MultiPoly,
     NonIsolatedError,
+    NonReducedError,
     NonTangentError,
     NotLogarithmicError,
     PreconditionError,
@@ -77,6 +78,21 @@ def test_tangency_is_enforced():
         gsv_index(RADIAL, TACNODE)
     assert is_logarithmic(RADIAL, NODE)
     assert not is_logarithmic(RADIAL, CUSP)
+
+
+def test_error_precedence_is_kept():
+    # reducible and not tangent: the irreducibility test comes first
+    with pytest.raises(PreconditionError, match="curve germ is not irreducible"):
+        mu_along_curve(germ("y", "x"), NODE)
+    # not reduced and not tangent: the tangency test comes first
+    with pytest.raises(NonTangentError):
+        gsv_index(germ("y", "x"), P2("y^2"))
+    # tangent but not reduced: the branch expansion still checks reducedness
+    for index in (gsv_index, schwartz_index, euler_obstruction_field):
+        with pytest.raises(NonReducedError):
+            index(RADIAL, P2("y^2"))
+    with pytest.raises(PreconditionError, match="point is not on the curve"):
+        gsv_index(germ("x", "0"), P2("y - 1"))
 
 
 def test_ph_values():
