@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactcore import NonReducedError, PreconditionError, squarefree_at, translate_to_origin
-from .indices import _adaptive, _LocalCurve, euler_obstruction_field, ph_index
+from .indices import _adaptive, _euler_obstruction_local, _LocalCurve, ph_index
 from .localmult import _milnor_of_reduced
 
 _ORIGIN = (0, 0)
@@ -44,6 +44,8 @@ class CurveRecord:
     mult: int
     mu: int
     branch_summary: tuple  # (parametrization order, conjugate count) per branch
+    # the germ at the origin, checked and expanded once, for the pairing
+    curve: _LocalCurve = field(compare=False, repr=False)
 
 
 def _make_record(f, point):
@@ -60,11 +62,11 @@ def _make_record(f, point):
         raise NonReducedError("curve equation has a repeated factor through the basepoint")
     # both checked above: the curve passes through the point and is reduced there
     mu = _milnor_of_reduced(fl, _ORIGIN)
+    curve = _LocalCurve(fl, checked=True)
     summary = _adaptive(
-        _LocalCurve(fl, checked=True),
-        lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
+        curve, lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
     return CurveRecord(key=f.to_str(), poly=f, point=point,
-                       mult=m, mu=mu, branch_summary=summary)
+                       mult=m, mu=mu, branch_summary=summary, curve=curve)
 
 
 def _merged_registry(r1, r2):
@@ -275,7 +277,7 @@ def index_pairing(gamma, v):
         rec = gamma.registry[key]
         if rec.point != tuple(v.basepoint):
             raise PreconditionError("curve and field live at different basepoints")
-        total += c * euler_obstruction_field(v, rec.poly).value
+        total += c * _euler_obstruction_local(v, rec.curve).value
     if gamma.ambient_coeff:
         total += gamma.ambient_coeff * ph_index(v).value
     return total

@@ -1077,12 +1077,40 @@ def squarefree_at(f, point=None):
 
 
 def resultant(f, g, var):
-    """Resultant of f and g eliminating ``var``, in sympy's sparse ring."""
+    """Resultant of f and g eliminating ``var``, with the sign sympy gives.
+
+    When one side has ``var``-degree 0 or 1 the resultant is a substitution
+    (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 6)
+    and is computed here in closed form, with no sympy import: for a lower
+    side l and the other side h of degree n, Res(l, h) is l^n when l is
+    constant and sum_k h_k (-l0)^k l1^(n-k) when l = l1*var + l0.  When both
+    degrees are 2 or more it comes from sympy's sparse ring.  sympy's PRS
+    puts the higher-degree side first (f on a tie) without the (-1)^(mn)
+    factor, so the result is (-1)^(mn) Res(l, h) with l the lower side (g on
+    a tie), e.g. resultant(3 - 2y, y^3 + x, y) = 8x + 27.
+    """
     f, g = f._pair(g)
     if f.is_zero or g.is_zero:
         raise PreconditionError("resultant of a zero polynomial")
-    if f.degree_in(var) <= 0 and g.degree_in(var) <= 0:
+    df, dg = f.degree_in(var), g.degree_in(var)
+    if df <= 0 and dg <= 0:
         raise PreconditionError(f"variable {var!r} absent from both polynomials")
+    if min(df, dg) > 1:
+        return _resultant_sympy(f, g, var)
+    (l, m), (h, n) = ((g, dg), (f, df)) if dg <= df else ((f, df), (g, dg))
+    if m == 0:
+        return l ** n
+    l0, l1 = l.coeffs_in(var)
+    res = MultiPoly.zero(f.variables, f.descriptor)
+    l0_pow = MultiPoly.constant(1, f.variables, f.descriptor)
+    for k, hk in enumerate(h.coeffs_in(var)):
+        res = res + hk * l0_pow * l1 ** (n - k)
+        l0_pow = l0_pow * -l0
+    return -res if n % 2 else res
+
+
+def _resultant_sympy(f, g, var):
+    """``resultant`` of two polynomials over one field, in sympy's sparse ring."""
     i = f.variables.index(var)
     R, to_sympy, from_sympy = _sympy_ring(f.descriptor, f"_v:{len(f.variables)}")
 
@@ -1098,8 +1126,11 @@ def resultant(f, g, var):
 
 
 # ---------------------------------------------------------------------------
-# The sympy boundary (the one bought dependency): ring conversion, and the
-# univariate factorization kernel
+# The sympy boundary (the one bought dependency): ring conversion, the
+# univariate factorization kernel and resultants with both degrees 2 or
+# more.  Closed forms above keep the rest off it: of the corpus problems,
+# only the cold run of jouanolou.baum-bott (a degree-7 factorization over Q)
+# imports sympy.
 # ---------------------------------------------------------------------------
 
 def _sympy_qq(fractions):

@@ -2,6 +2,8 @@
 
 import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from folindex import (
     ord_along_branch,
     parse_poly,
 )
+from folindex import exactcore, puiseux
 from folindex.puiseux import ZERO_UP_TO_TRUNCATION
 from folindex.exactcore import QQ, FieldElem
 from folindex.localmult import INFINITE
@@ -54,6 +57,30 @@ def p2():
 @pytest.fixture
 def p3():
     return P3
+
+
+@pytest.fixture
+def localization_counts(monkeypatch):
+    """(checked, expanded): Counters of the reducedness checks per
+    (polynomial, point) and of the branch expansions per (polynomial,
+    precision) made by every folindex module while the test runs."""
+    checked, expanded = Counter(), Counter()
+    real_squarefree, real_expand = exactcore.squarefree_at, puiseux._expand
+
+    def squarefree_at(f, point=None):
+        key = None if point is None else tuple(FieldElem.of(c) for c in point)
+        checked[(f, key)] += 1
+        return real_squarefree(f, point)
+
+    def expand(f, budget, ctx):
+        expanded[(f, budget)] += 1
+        return real_expand(f, budget, ctx)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("folindex") and getattr(module, "squarefree_at", None) is real_squarefree:
+            monkeypatch.setattr(module, "squarefree_at", squarefree_at)
+    monkeypatch.setattr(puiseux, "_expand", expand)
+    return checked, expanded
 
 
 def random_poly(rng, max_degree=4, max_coeff=2, origin_zero=True):

@@ -1,8 +1,12 @@
 """Constructible functions on the germ: indicators, cycle functions,
 characteristic cycles, and the pairing with tangent fields."""
 
+import json
+import pathlib
+
 import pytest
 
+import folindex.cli as cli
 from folindex.confun import (
     ConstructibleFn,
     cc,
@@ -23,6 +27,8 @@ from folindex.indices import (
 )
 
 from conftest import P2, germ
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 CUSP = P2("y^2 - x^3")
 NODE = P2("x*y")
@@ -124,6 +130,25 @@ def test_pairing_linearity():
     lhs = index_pairing(2 * g1 - 3 * g2, HAM)
     rhs = 2 * index_pairing(g1, HAM) - 3 * index_pairing(g2, HAM)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ["cusp_hamiltonian.pairing_eu", "node_radial.pairing_indicator",
+                                  "node_radial.pairing_psi",
+                                  "saddle_balanced.pairing_complement"])
+def test_pairing_checks_and_expands_each_curve_once(name, localization_counts, tmp_path):
+    """One ``confun`` command pairs through the curves its records already
+    localized: no (polynomial, point) is checked for reducedness twice and
+    no (polynomial, precision) is expanded twice."""
+    checked, expanded = localization_counts
+    entry = next(e for e in json.loads((CORPUS / "manifest.json").read_text())["entries"]
+                 if e["name"] == name)
+    out = tmp_path / "report.json"
+    assert cli.main([*entry["argv"], "--input", str(CORPUS / entry["problem"]),
+                     "--json", str(out)]) == 0
+    assert out.read_bytes() == (CORPUS / entry["report"]).read_bytes()
+    assert checked
+    assert max(checked.values()) == 1, checked
+    assert max(expanded.values(), default=1) == 1, expanded
 
 
 def test_pairing_whole_space_is_ph():

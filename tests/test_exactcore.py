@@ -28,6 +28,7 @@ from folindex.exactcore import (
     try_divide,
     univariate_roots,
     _join,
+    _resultant_sympy,
     _sympy_ring,
 )
 
@@ -457,6 +458,41 @@ def test_resultant():
     # one variable: the resultant is a constant
     assert resultant(parse_poly("x^2 - 2", ("x",)), parse_poly("x - 1", ("x",)), "x") == \
         parse_poly("-1", ("x",))
+    # sympy's sign: the higher-degree side goes first, with no (-1)^(mn);
+    # the Sylvester determinant of (3 - 2y, y^3 + x) is -8x - 27
+    assert resultant(P2("3 - 2*y"), P2("y^3 + x"), "y") == P2("8*x + 27")
+    # both sides of degree 2 or more: sympy's ring
+    assert resultant(P2("x^2 + y^2 - 1"), P2("x^2 - y"), "x") == P2("(y^2 + y - 1)^2")
+    assert resultant(parse_poly("x^2 - r*y", V2, SQRT2), parse_poly("x^2 + y^2", V2, SQRT2),
+                     "x") == parse_poly("(y^2 + r*y)^2", V2, SQRT2)
+
+
+@st.composite
+def elim_polys(draw, desc, variables, i, degree):
+    """A polynomial in ``variables`` of degree exactly ``degree`` in the i-th."""
+    def exps(e):
+        k = [draw(st.integers(min_value=0, max_value=2)) for _ in variables]
+        k[i] = e
+        return tuple(k)
+
+    terms = {exps(draw(st.integers(min_value=0, max_value=degree))): draw(field_elems(desc))
+             for _ in range(draw(st.integers(min_value=0, max_value=4)))}
+    terms[exps(degree)] = draw(field_elems(desc).filter(lambda c: not c.is_zero))
+    return MultiPoly(variables, desc, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, SQRT2]), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=1), st.data())
+def test_closed_form_resultant_matches_sympy(desc, nv, high, low, data):
+    variables = ("x", "y", "z")[:nv]
+    i = data.draw(st.integers(min_value=0, max_value=nv - 1))
+    f = data.draw(elim_polys(desc, variables, i, high))
+    g = data.draw(elim_polys(desc, variables, i, low))
+    if high == low == 0:
+        return
+    for a, b in ((f, g), (g, f)):
+        assert resultant(a, b, variables[i]) == _resultant_sympy(a, b, variables[i])
 
 
 def test_squarefree_at():

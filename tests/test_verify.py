@@ -1,14 +1,11 @@
 """Global count checks on the plane: every verifier must close exactly."""
 
 import pathlib
-import sys
-from collections import Counter
 
 import pytest
 
 import folindex.cli as cli
-from folindex import exactcore, puiseux
-from folindex.exactcore import FieldElem, NotLogarithmicError, PreconditionError
+from folindex.exactcore import NotLogarithmicError, PreconditionError
 from folindex.foliation import from_affine
 from folindex.verify import (
     verify_baum_bott,
@@ -128,26 +125,11 @@ def test_isolated_gsv_correction_entries():
     assert "GSV" in kinds and "PH" in kinds
 
 
-def test_isolated_check_and_expand_each_germ_once(monkeypatch, tmp_path):
+def test_isolated_check_and_expand_each_germ_once(localization_counts, tmp_path):
     """One ``verify --theorem iso`` localizes each divisor germ once: no
     (polynomial, point) is checked for reducedness twice and no
     (polynomial, precision) is expanded twice."""
-    checked, expanded = Counter(), Counter()
-    real_squarefree, real_expand = exactcore.squarefree_at, puiseux._expand
-
-    def squarefree_at(f, point=None):
-        key = None if point is None else tuple(FieldElem.of(c) for c in point)
-        checked[(f, key)] += 1
-        return real_squarefree(f, point)
-
-    def expand(f, budget, ctx):
-        expanded[(f, budget)] += 1
-        return real_expand(f, budget, ctx)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("folindex") and getattr(module, "squarefree_at", None) is real_squarefree:
-            monkeypatch.setattr(module, "squarefree_at", squarefree_at)
-    monkeypatch.setattr(puiseux, "_expand", expand)
+    checked, expanded = localization_counts
     problem = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "problems" / "nodal_hamiltonian.json"
     argv = ["verify", "--theorem", "iso", "--input", str(problem),
             "--json", str(tmp_path / "report.json")]
