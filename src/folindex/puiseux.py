@@ -11,17 +11,29 @@ size recorded on the branch; at most one algebraic extension of the
 ground field is permitted per branch, and inputs that would need a
 second one fail with a structured error instead of an approximation.
 
+Each step f(x^q, x^p (c + y)) / x^d is computed directly as the monomial
+map (i, j) -> (q i + p j - d, k) with weights binom(j, k) c^(j-k), with no
+general substitution.  Once a node's polygon is one edge of height 1 (a
+term a*y is present) the branch is separated: the rest of it is the root
+y = phi(x) of the node's polynomial, and every later step strips one term
+of phi.  Those steps are read off one scan of phi's coefficients, the
+regular stage of D. Duval's rational Puiseux algorithm (Compositio Math.
+70, 1989), instead of transforming the polynomial once per term.  The
+scan emits the same (1, p, c) steps the per-term walk would, each of them
+counting against the depth cap, and decides exactness with one exact
+remainder of the separated polynomial by y - phi.
+
 A branch is two polynomials in t and a truncation order N.  A branch
 whose expansion terminates (the tail is identically zero) is marked
 exact and its polynomials are the whole parametrization; an inexact one
 keeps only the terms below t^N.  Every order along a branch comes from
-one composition: substitute the two polynomials, then drop the terms of
-degree >= N unless the branch is exact, so exact answers carry no
-truncation caveat.
+one composition with the two polynomials, which drops the terms of
+degree >= N as it goes unless the branch is exact, so exact answers carry
+no truncation caveat.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .exactcore import (
     DescriptorMismatchError,
@@ -34,6 +46,7 @@ from .exactcore import (
     PowerSeries,
     PreconditionError,
     ResourceCapError,
+    _accumulate,
     _fresh_field,
     _join,
     divexact,
@@ -110,7 +123,9 @@ def _series(poly, n):
 
 
 def _below(poly, n):
-    """The terms of a polynomial in t of degree below n."""
+    """The terms of a polynomial in t of degree below n (all when n is None)."""
+    if n is None:
+        return poly
     return MultiPoly._make(poly.variables, poly.descriptor,
                            {k: c for k, c in poly.terms.items() if k[0] < n})
 
@@ -246,8 +261,7 @@ def _expand(f, budget, ctx):
         if node is None:
             stack.pop()
             continue
-        if len(stack) > _DEPTH_CAP + 1:
-            raise ResourceCapError("branch expansion exceeded the recursion cap")
+        _check_room(len(stack), _DEPTH_CAP + 1)
         f, budget, steps, conj = node
         if _origin_coeff(f) is not None:
             continue
@@ -260,6 +274,10 @@ def _expand(f, budget, ctx):
                 stack.append(iter([(h, budget, steps, conj)]))
         elif budget <= 0:
             out.append(_Path(steps, conj, False))
+        elif (0, 1) in f.terms:
+            # separated: the walk below is one chain of at most room nodes
+            more, exact = _separated_steps(f, budget, _DEPTH_CAP + 1 - len(stack))
+            out.append(_Path(steps + more, conj, exact))
         else:
             stack.append(_edge_children(f, budget, steps, conj, ctx))
     return out
@@ -267,7 +285,6 @@ def _expand(f, budget, ctx):
 
 def _edge_children(f, budget, steps, conj, ctx):
     """The nodes one Newton-polygon step below f, one per edge factor."""
-    x, y = f.variables
     for q, p, d, levels in _polygon_edges(f):
         m_deg = max(levels)
         psi = [levels.get(i, FieldElem.of(0, f.descriptor)) for i in range(m_deg + 1)]
@@ -276,13 +293,152 @@ def _edge_children(f, budget, steps, conj, ctx):
             if len(fac) < 2:
                 continue
             c, ext, cj = _edge_root_choices(fac, q, f.descriptor, ctx)
-            fl = f.lift(ext)
-            xq = MultiPoly.variable(x, fl.variables, ext) ** q
-            image_y = (MultiPoly.variable(x, fl.variables, ext) ** p) * \
-                (MultiPoly.variable(y, fl.variables, ext) + MultiPoly.constant(c, fl.variables, ext))
-            g = substitute(fl, {x: xq, y: image_y})
-            g = divexact(g, MultiPoly.variable(x, fl.variables, ext) ** d)
-            yield g, budget * q - p, steps + [(q, p, c)], conj * cj
+            yield _newton_step(f, q, p, d, c), budget * q - p, steps + [(q, p, c)], conj * cj
+
+
+def _newton_step(f, q, p, d, c):
+    """f(x^q, x^p (c + y)) / x^d, over the field joining f's and c's.
+
+    The map is monomial: a x^i y^j goes to binom(j, k) c^(j-k) a
+    x^(q i + p j - d) y^k for k = 0..j, so no polynomial product is formed.
+    d must be the least q i + p j on the support (the edge's weight); a
+    smaller d leaves a negative power of x and is refused as an inexact
+    division.
+    """
+    desc = _join(f.descriptor, c.descriptor)
+    c = c.lift(desc)
+    cpow = [FieldElem.of(1, desc)]
+    for _ in range(max(k[1] for k in f.terms)):
+        cpow.append(cpow[-1] * c)
+    rows = {}
+    out = {}
+    for (i, j), a in f.terms.items():
+        e = q * i + p * j - d
+        if e < 0:
+            raise PreconditionError("inexact polynomial division")
+        if j not in rows:
+            rows[j] = [cpow[j - k] * comb(j, k) for k in range(j + 1)]
+        a = a.lift(desc)
+        for k, w in enumerate(rows[j]):
+            v = a * w
+            key = (e, k)
+            out[key] = out[key] + v if key in out else v
+    return MultiPoly._make(f.variables, desc, {k: v for k, v in out.items() if v.coefficients})
+
+
+def _separated_steps(f, budget, room):
+    """The steps (1, p, c) the walk takes below the separated node f, and
+    whether its path ends exact.
+
+    f is separated when it has the term a*y: its polygon is one edge of
+    height 1 and stays so, and what is left of the branch is the root
+    y = phi(x) of f with phi(0) = 0.  Each walk step strips the lowest
+    term c x^e of phi; the walk stops exact when phi is used up, and
+    inexact after the first term with e >= budget.  These steps come from
+    a window of room + 1 of phi's coefficients instead (see
+    :func:`_root_terms`), enough to see the cap on a dense root.  When the
+    window runs out first, at a gap in phi, f moves past the terms found
+    and every later window is one coefficient wide: one walk step each, so
+    a sparse root costs what the walk costs.  Passing ``room`` steps is
+    the depth cap.
+    """
+    steps, width = [], room + 1
+    while True:
+        terms, exact = _root_terms(f, budget, room - len(steps), width)
+        width = 1
+        prev = 0
+        for e, c in terms:
+            steps.append((1, e - prev, c))
+            prev = e
+        if exact is not None:
+            return steps, exact
+        for _, p, c in steps[-len(terms):]:
+            f = _newton_step(f, 1, p, p, c)
+        if _divisible_by(f, 1):
+            return steps, True
+        budget -= prev
+
+
+def _root_terms(f, budget, room, width):
+    """The terms (e, c) of the root phi of the separated f that the walk
+    strips, in order, and its exact flag.
+
+    The coefficients of phi come one by one from f(x, phi) = 0: the one at
+    x^m is a linear equation in phi_m over the lower ones, through the
+    powers phi^j kept as sparse coefficient maps.  The scan stops at the
+    first term with e >= budget, and otherwise at max(2 budget, D + 1),
+    with D the x-degree of f: a polynomial root has degree at most D, so
+    phi is then exact exactly when f(x, psi) = 0 for the terms psi found,
+    the remainder of f divided by y - psi.  At most ``width`` exponents
+    are scanned; when they run out before the scan ends, the flag is None.
+    """
+    neg_inv = -f.terms[(0, 1)].inverse()
+    rows, top = {}, 0
+    for (i, j), a in f.terms.items():
+        if (i, j) != (0, 1):
+            rows.setdefault(j, []).append((i, a))
+        top = max(top, i)
+    for row in rows.values():
+        row.sort(key=lambda t: t[0])
+    p = rows[0][0][0]
+    n = max(rows)
+    phi = {}
+    powers = [{0: FieldElem.of(1, f.descriptor)}, phi] + [{} for _ in range(n - 1)]
+    scan_end = max(2 * budget, top + 1)
+    end = min(scan_end, p + width)
+    for m in range(p, end):
+        # phi^j has order j p; its x^m coefficient needs phi below x^m only
+        for j in range(2, min(n, m // p) + 1):
+            s = _convolved(phi.items(), powers[j - 1], m, m - (j - 1) * p)
+            if s is not None and s.coefficients:
+                powers[j][m] = s
+        s = None
+        for j, row in rows.items():
+            v = _convolved(row, powers[j], m, m - j * p)
+            if v is not None:
+                s = v if s is None else s + v
+        if s is None or not s.coefficients:
+            continue
+        phi[m] = s * neg_inv
+        _check_room(len(phi), room)
+        if m >= budget:
+            # the walk's last step; it is exact only on a polynomial root
+            return list(phi.items()), m <= top and _residual(f, phi).is_zero
+    terms = list(phi.items())
+    if end < scan_end:
+        return terms, None
+    r = _residual(f, phi)
+    if r.is_zero:
+        return terms, True
+    e = _t_order(r)
+    _check_room(len(terms) + 1, room)
+    return terms + [(e, r.terms[(e,)] * neg_inv)], False
+
+
+def _convolved(terms, other, m, last):
+    """The sum of c * other[m - e] over the (e, c) of ``terms`` (ascending
+    in e) with e <= last, or None when no such product exists."""
+    s = None
+    for e, c in terms:
+        if e > last:
+            break
+        v = other.get(m - e)
+        if v is not None:
+            s = c * v if s is None else s + c * v
+    return s
+
+
+def _check_room(steps, room):
+    if steps > room:
+        raise ResourceCapError("branch expansion exceeded the recursion cap")
+
+
+def _residual(f, phi):
+    """f(t, psi(t)) for the polynomial psi with the terms ``phi`` (exponent
+    to coefficient): the remainder of f divided by y - psi, zero exactly
+    when psi is the root."""
+    psi = MultiPoly._make(("t",), f.descriptor, {(e,): c for e, c in phi.items()})
+    return _along(f, MultiPoly.variable("t", ("t",), f.descriptor), psi, None)
 
 
 def _assemble(path, precision, point, variables):
@@ -293,13 +449,14 @@ def _assemble(path, precision, point, variables):
         suffix[i] = suffix[i + 1] * path.steps[i][0]
     ramification = suffix[0]
     tvars = ("t",)
-    tv = MultiPoly.variable("t", tvars, desc)
-    y_poly = MultiPoly.zero(tvars, desc)
-    for i in range(k - 1, -1, -1):
-        _, p, c = path.steps[i]
-        shift = tv ** (p * suffix[i + 1])
-        y_poly = shift * (y_poly + MultiPoly.constant(c.lift(desc), tvars, desc))
-    x_poly = tv ** ramification
+    # step i contributes c_i t^(p_0 suffix[1] + ... + p_i suffix[i+1]);
+    # edge roots are nonzero and the exponents increase
+    y_terms, e = {}, 0
+    for (_, p, c), s in zip(path.steps, suffix[1:]):
+        e += p * s
+        y_terms[(e,)] = c.lift(desc)
+    y_poly = MultiPoly._make(tvars, desc, y_terms)
+    x_poly = MultiPoly.variable("t", tvars, desc) ** ramification
     if not path.exact:
         x_poly, y_poly = _below(x_poly, precision), _below(y_poly, precision)
     q1, p1, _ = path.steps[0]
@@ -324,12 +481,57 @@ def _compose(g, branch, n):
     """g along the branch: g(x_poly, y_poly), without the terms of degree
     >= n unless the branch is exact.  g is in the branch's variables and
     over a field that joins with the branch's."""
-    x, y = branch.variables
-    return _cut(branch, substitute(g, {x: branch.x_poly, y: branch.y_poly}), n)
+    return _along(g, branch.x_poly, branch.y_poly, None if branch.exact else n)
 
 
-def _cut(branch, poly, n):
-    return poly if branch.exact else _below(poly, n)
+def _along(g, xp, yp, cut):
+    """g(xp, yp) for polynomials xp, yp in t, without the terms of degree
+    >= ``cut`` unless ``cut`` is None.
+
+    The cut is made while composing: every power of xp and yp, and every
+    product of two, keeps only its terms below t^cut, so nothing past the
+    truncation is built.  An expansion's x_poly is a monomial t^r (or 0),
+    whose powers are monomials and whose products are exponent shifts.
+    """
+    desc = _join(g.descriptor, xp.descriptor, yp.descriptor)
+    xs = _powers(xp.lift(desc), {k[0] for k in g.terms}, cut)
+    ys = _powers(yp.lift(desc), {k[1] for k in g.terms}, cut)
+    acc = {}
+    for (i, j), c in g.terms.items():
+        c = c.lift(desc)
+        term = _times(xs[i], ys[j], cut) if i else ys[j]
+        _accumulate(acc, ((k, c * v) for k, v in term.terms.items()))
+    return MultiPoly._make(("t",), desc, acc)
+
+
+def _powers(poly, wanted, cut):
+    """{e: poly^e cut below t^cut} for the exponents e in ``wanted``."""
+    one = MultiPoly.constant(1, ("t",), poly.descriptor)
+    if len(poly.terms) <= 1:
+        # a monomial c t^r (or zero): its e-th power is c^e t^(r e)
+        return {e: _below(MultiPoly._make(("t",), poly.descriptor,
+                                          {(k[0] * e,): c ** e for k, c in poly.terms.items()}),
+                          cut) if e else one
+                for e in wanted}
+    out, pw = {0: one}, one
+    for e in range(1, max(wanted, default=0) + 1):
+        pw = _times(pw, poly, cut)
+        out[e] = pw
+    return out
+
+
+def _times(a, b, cut):
+    """The product of two polynomials in t, without its terms of degree >=
+    ``cut`` unless ``cut`` is None."""
+    out = {}
+    for (ea,), ca in a.terms.items():
+        for (eb,), cb in b.terms.items():
+            e = ea + eb
+            if cut is None or e < cut:
+                v = ca * cb
+                out[(e,)] = out[(e,)] + v if (e,) in out else v
+    return MultiPoly._make(("t",), _join(a.descriptor, b.descriptor),
+                           {k: v for k, v in out.items() if v.coefficients})
 
 
 def _verify_on_curve(branch, f_local):
@@ -433,7 +635,8 @@ def nash_lift_order(branch, v):
     yd = branch.y_poly.diff("t")
     av = _compose(_localized(a, branch), branch, n)
     bv = _compose(_localized(b, branch), branch, n)
-    if not _cut(branch, av * yd - bv * xd, n).is_zero:
+    cut = None if branch.exact else n
+    if not (_times(av, yd, cut) - _times(bv, xd, cut)).is_zero:
         raise NonTangentError("vector field is not tangent to the branch")
     o = _t_order(av if _t_order(xd) == branch.multiplicity - 1 else bv)
     if o is None:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: parsers, germs, random samplers."""
 
+import itertools
 import os
 import random
 import sys
@@ -118,10 +119,11 @@ def branch_order_sum(f, g, precision=32, ceiling=512):
 
 def dual_oracle_sample(count, seed):
     """Yield (f, g, fulton, branch total) for reduced pairs with finite
-    intersection; draws that need unreachable extensions are resampled."""
+    intersection; draws that need unreachable extensions are resampled.
+    ``count`` None draws without end."""
     rng = random.Random(seed)
     produced = 0
-    while produced < count:
+    while count is None or produced < count:
         f = random_poly(rng)
         g = random_poly(rng)
         if f.is_zero or g.is_zero:
@@ -144,8 +146,8 @@ _DUAL_ORACLE_CACHE = {}
 
 
 def dual_oracle_pairs(count=100, seed=20260822):
-    """The sample above, materialized once per session."""
-    key = (count, seed)
-    if key not in _DUAL_ORACLE_CACHE:
-        _DUAL_ORACLE_CACHE[key] = list(dual_oracle_sample(count, seed))
-    return _DUAL_ORACLE_CACHE[key]
+    """The first ``count`` pairs of the sample above, each drawn once per
+    session: a shorter prefix reuses a longer draw."""
+    drawn, rest = _DUAL_ORACLE_CACHE.setdefault(seed, ([], dual_oracle_sample(None, seed)))
+    drawn.extend(itertools.islice(rest, max(count - len(drawn), 0)))
+    return drawn[:count]

@@ -384,6 +384,21 @@ def test_deep_branch_expansion_hits_the_depth_cap(tmp_path):
     assert proc.stderr == "error: branch expansion exceeded the recursion cap\n"
 
 
+def test_huge_precision_on_a_separated_branch_hits_the_depth_cap(tmp_path):
+    # the curve is separated at the origin, so its terms come from one scan;
+    # each still counts against the cap, and the scan stops there instead of
+    # running to the truncation order
+    doc = {"variables": ["x", "y"],
+           "germ": {"vector_field": ["x", "y"], "divisor": "y - x - x*y"}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "folindex.cli", "puiseux", "--precision", "1000000000",
+         "--input", write_problem(tmp_path, doc)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=30,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: branch expansion exceeded the recursion cap\n"
+
+
 def test_bad_cap_value_is_exit_1(tmp_path, monkeypatch):
     monkeypatch.setenv("FOLINDEX_PRECISION_CAP", "one")
     code, _ = run(tmp_path, ["index", "--kind", "euobs"], NONEXACT)

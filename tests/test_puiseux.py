@@ -1,22 +1,44 @@
 """Branch expansions: certificates, orders, Nash lift orders, conjugacy."""
 
+import hashlib
+import json
+import pathlib
+import signal
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from folindex.exactcore import DescriptorMismatchError, NonReducedError, PreconditionError
+from folindex import puiseux
+from folindex.exactcore import (
+    QQ,
+    DescriptorMismatchError,
+    FieldDescriptor,
+    FieldElem,
+    MultiPoly,
+    NonReducedError,
+    PowerSeries,
+    PreconditionError,
+    divexact,
+    parse_poly,
+    substitute,
+)
 from folindex.puiseux import (
     ZERO_UP_TO_TRUNCATION,
     InsufficientPrecisionError,
+    _newton_step,
     branches,
     nash_lift_order,
     ord_along_branch,
     reparametrize,
 )
-from folindex.exactcore import PowerSeries
 from folindex.localmult import curve_multiplicity
 
-from conftest import ORIGIN, P2
+from conftest import ORIGIN, P2, V2, dual_oracle_pairs
+
+SQRT2 = FieldDescriptor.simple_extension("r", [Fraction(-2), Fraction(0), Fraction(1)])
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "problems"
 
 
 def expand(text, precision=16):
@@ -162,3 +184,125 @@ def test_reparametrization_needs_unit():
     inner = PowerSeries.from_dict("t", b.x_series.truncation_order, {2: Fraction(1)})
     with pytest.raises(PreconditionError):
         reparametrize(b, inner)
+
+
+# ------------------------------------------------------- the direct step
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def step_inputs(draw):
+    """(f, q, p, c): f over Q or Q(r) without a constant term, q and p
+    coprime, and c a nonzero element of Q or Q(r)."""
+    desc = draw(st.sampled_from([QQ, SQRT2]))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        i = draw(st.integers(min_value=0, max_value=5))
+        j = draw(st.integers(min_value=0 if i else 1, max_value=4))
+        terms[(i, j)] = FieldElem(desc, [draw(rationals), draw(rationals) if desc.is_extension else 0])
+    f = MultiPoly(V2, desc, terms)
+    q, p = draw(st.tuples(st.integers(min_value=1, max_value=4),
+                          st.integers(min_value=1, max_value=5)).filter(lambda qp: gcd(*qp) == 1))
+    c_desc = draw(st.sampled_from([QQ, SQRT2]))
+    c = FieldElem(c_desc, [draw(rationals), draw(rationals) if c_desc.is_extension else 0])
+    return f, q, p, c
+
+
+def _step_by_substitution(f, q, p, d, c):
+    desc = c.descriptor if c.descriptor.is_extension else f.descriptor
+    x, y = (MultiPoly.variable(v, V2, desc) for v in V2)
+    return divexact(substitute(f, {"x": x ** q, "y": x ** p * (c + y)}), x ** d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_inputs())
+def test_newton_step_equals_substitution_and_division(inputs):
+    f, q, p, c = inputs
+    if f.is_zero or c.is_zero:
+        return
+    d = min(q * i + p * j for i, j in f.terms)
+    got, want = _newton_step(f, q, p, d, c), _step_by_substitution(f, q, p, d, c)
+    assert got.terms == want.terms
+    assert got.descriptor == want.descriptor
+    assert all(got.terms[k].descriptor == want.terms[k].descriptor for k in got.terms)
+    assert got.variables == want.variables
+    # a d above the polygon minimum leaves a negative power of x
+    with pytest.raises(PreconditionError):
+        _step_by_substitution(f, q, p, d + 1, c)
+    with pytest.raises(PreconditionError):
+        _newton_step(f, q, p, d + 1, c)
+
+
+# ------------------------------------------- branch records, pinned
+
+# sha256 of _branch_records() computed with the per-term walk, which
+# transforms the polynomial once for every term of a separated branch: the
+# one-scan finish must give the same records
+BRANCH_RECORDS_SHA256 = "673bfd0b50d7edb6541c6615f66fdb9829beadeb99c5780f6e523c10a5ab0b43"
+
+
+def _branch_records(precisions=(8, 32), count=25):
+    """One line per branch of every corpus germ divisor and of the first
+    ``count`` f of the dual-oracle sample, at each precision: the series,
+    multiplicity, conjugacy size, exact flag, field, and the order along the
+    branch of the corpus vector field's components or of the sample's g."""
+    cases = []
+    for path in sorted(CORPUS.glob("*.json")):
+        germ = json.loads(path.read_text()).get("germ", {})
+        if "divisor" in germ:
+            cases.append((P2(germ["divisor"]), [P2(t) for t in germ["vector_field"]]))
+    cases += [(f, [g]) for f, g, _, _ in dual_oracle_pairs(count)]
+    lines = []
+    for f, gs in cases:
+        for n in precisions:
+            for b in branches(f, ORIGIN, n):
+                lines.append("|".join([
+                    f.to_str(), str(n), repr(b.x_series), repr(b.y_series),
+                    str(b.multiplicity), str(b.conjugacy_size), str(b.exact),
+                    repr(b.descriptor), ",".join(repr(ord_along_branch(b, g)) for g in gs)]))
+    return lines
+
+
+def test_branch_records_are_pinned():
+    digest = hashlib.sha256("\n".join(_branch_records()).encode()).hexdigest()
+    assert digest == BRANCH_RECORDS_SHA256
+
+
+# -------------------------------------------------- separated branches
+
+@pytest.mark.parametrize("curve, precision, exact, y_poly", [
+    # the last term lies past the truncation, yet the root ends there
+    ("y - x - x^10", 8, True, "t + t^10"),
+    # the term past the truncation is not the last one
+    ("y - x - x^10 - x^20", 8, False, "t"),
+    ("y - x - x^10 - x^20", 16, True, "t + t^10 + t^20"),
+    # the root ends below the truncation
+    ("y - x^3", 8, True, "t^3"),
+    # y = x / (1 - x^2): every odd power
+    ("y - x - x^2*y", 8, False, "t + t^3 + t^5 + t^7"),
+    # y = x / (1 - x^20): the next term, x^21, lies past the x-degree of f
+    ("y - x - x^20*y", 8, False, "t"),
+])
+def test_separated_branch_ends_where_the_walk_ends(curve, precision, exact, y_poly):
+    (b,) = expand(curve, precision)
+    assert b.exact == exact
+    assert b.y_poly == parse_poly(y_poly, ("t",))
+    assert ord_along_branch(b, P2(curve)) is ZERO_UP_TO_TRUNCATION
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the separated scan walked through the gap")
+
+
+def test_separated_root_crosses_a_gap_without_scanning_it():
+    # y = x + x^100000000: the scan stops after a window past x, and the next
+    # window starts at the far term instead of at every exponent in between
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(20)
+    try:
+        paths = puiseux._expand(P2("y - x - x^100000000"), 10 ** 9, {"fresh": 0})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [(p.steps, p.exact) for p in paths] == [([(1, 1, 1), (1, 99999999, 1)], True)]
