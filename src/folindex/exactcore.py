@@ -2,12 +2,16 @@
 
 Scalars are arbitrary-precision rationals or elements of a simple extension
 field Q(g) presented by a monic minimal polynomial; there is no floating
-point anywhere in the package.  On top of the scalars this module provides
-sparse multivariate polynomials, the elimination kernels (resultants, gcds,
-exact division), substitution and translation, which every other module
-consumes, plus the text grammar used by the CLI.  Truncated univariate power
-series are a value type for showing and comparing results; they carry no
-arithmetic.
+point anywhere in the package, and the public constructors refuse floats.
+A scalar is stored as integer coordinates over one positive denominator,
+and its sums, products and inverses run on Python integers: a product in
+Q(g) is an integer schoolbook product reduced by integer rows for the
+powers of g that the field precomputes.  On top of the scalars this module
+provides sparse multivariate polynomials, the elimination kernels
+(resultants, gcds, exact division), substitution and translation, which
+every other module consumes, plus the text grammar used by the CLI.
+Truncated univariate power series are a value type for showing and
+comparing results; they carry no arithmetic.
 
 Extension fields are deliberately shallow: a computation that would need a
 second extension on top of an existing one fails with ExtensionRequiredError
@@ -19,8 +23,11 @@ Public constructors (``FieldElem(...)``, ``MultiPoly(...)``, ``of``,
 coordinates are reduced and stripped, coefficients lifted into the
 polynomial's field, zero terms dropped and exponent arity checked.  Results
 computed inside this module, whose invariants already hold by construction,
-go through the trusted ``FieldElem._make`` and ``MultiPoly._make`` instead and
-are not checked again.
+go through the trusted ``FieldElem._make(descriptor, nums, den)`` and
+``MultiPoly._make`` instead and are not checked again.  ``_make`` takes a
+tuple of ints ``nums``, at most the field degree of them and no trailing
+zero, over a positive int ``den`` with gcd(den, *nums) = 1; a kernel that
+does not know its result is in lowest terms builds it with ``_reduced``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _add
 
@@ -101,9 +108,9 @@ class ExtensionRequiredError(PreconditionError):
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers (coefficient lists, constant term first).  The _q
-# helpers run below FieldElem on plain Fractions; _poly_divmod needs only
-# + - * / and comparison with 0, so it also divides lists of FieldElems.
+# Univariate helpers (coefficient lists, constant term first).  _poly_divmod
+# needs only + - * / and comparison with 0, so it divides lists of Fractions
+# and lists of FieldElems alike.
 # ---------------------------------------------------------------------------
 
 def _strip(coeffs):
@@ -113,31 +120,13 @@ def _strip(coeffs):
     return coeffs
 
 
-def _poly_mul_q(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _strip(out)
-
-
-def _poly_sub_q(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _strip([x - y for x, y in zip(a, b)])
-
-
 def _poly_divmod(a, b):
     # b need not be monic; field division
     r, b = _strip(a), _strip(b)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(0, len(r) - db)
+    q = [0] * max(0, len(r) - db)
     while len(r) > db:
         c = r.pop()
         if c != 0:
@@ -149,15 +138,12 @@ def _poly_divmod(a, b):
     return _strip(q), _strip(r)
 
 
-def _poly_ext_gcd_q(a, m):
-    # returns (g, s) with s*a = g modulo m
-    r0, r1 = _strip(list(m)), _strip(list(a))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub_q(s0, _poly_mul_q(q, s1))
-    return r0, s0
+def _exact(value):
+    """``value`` itself, refused when it is a float: a float's binary
+    expansion is not the number its decimal text names."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}: give an int, a Fraction or a string")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +155,22 @@ class FieldDescriptor:
     """The coefficient field: the rationals, or one simple extension of them.
 
     ``minimal_polynomial`` is a monic coefficient tuple (constant term first)
-    of degree >= 2, present only for extensions.  ``simple_extension`` proves
+    of degree d >= 2, present only for extensions.  ``simple_extension`` proves
     it irreducible over Q by exact factorization and refuses it otherwise,
     since a reducible one presents a ring with zero divisors, not a field.
+
+    ``reduction_rows`` and ``reduction_den`` serve the integer product of
+    FieldElem: row k holds the integer coordinates of
+    reduction_den * g^(d + k) for k = 0 .. d - 2, the powers a product of
+    two reduced elements reaches.  They follow from the minimal polynomial
+    and take no part in equality or hashing.
     """
 
     kind: str
     generator_name: str | None = None
     minimal_polynomial: tuple | None = None
+    reduction_rows: tuple = field(default=(), compare=False)
+    reduction_den: int = field(default=1, compare=False)
 
     @staticmethod
     def rationals():
@@ -184,7 +178,7 @@ class FieldDescriptor:
 
     @staticmethod
     def simple_extension(generator_name, minpoly_coeffs):
-        coeffs = tuple(Fraction(c) for c in minpoly_coeffs)
+        coeffs = tuple(Fraction(_exact(c)) for c in minpoly_coeffs)
         if len(coeffs) < 3:
             raise PreconditionError("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
@@ -199,7 +193,16 @@ class FieldDescriptor:
             reducible = not ring("_g", SQQ)[0].from_list(_sympy_qq(coeffs)).is_irreducible
         if reducible:
             raise PreconditionError("minimal polynomial is not irreducible over Q")
-        return FieldDescriptor("simple-extension", generator_name, coeffs)
+        # g^d = -(m_0 + ... + m_(d-1) g^(d-1)); each next power shifts the
+        # row up and folds its top coordinate back in through g^d
+        d = len(coeffs) - 1
+        rows = [[-c for c in coeffs[:d]]]
+        for _ in range(d - 2):
+            prev, top = rows[-1], rows[-1][-1]
+            rows.append([top * rows[0][0]] + [prev[i - 1] + top * rows[0][i] for i in range(1, d)])
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        int_rows = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows)
+        return FieldDescriptor("simple-extension", generator_name, coeffs, int_rows, den)
 
     @property
     def is_extension(self):
@@ -234,34 +237,100 @@ def _join(*descriptors):
     return out
 
 
+def _reduced(descriptor, nums, den):
+    """The FieldElem nums/den for a list of integer coordinates, at most
+    ``degree`` of them, over den > 0: trailing zeros stripped and the common
+    factor of den and the coordinates divided out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return FieldElem._make(descriptor, (), 1)
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+    return FieldElem._make(descriptor, tuple(nums), den)
+
+
+def _inverse_nums(nums, modulus):
+    """(s, c) with s * nums = c modulo ``modulus``, for integer coordinate
+    lists; c is the integer content of the last nonzero remainder when that
+    remainder is a constant, and None otherwise.
+
+    The extended Euclidean algorithm without fractions: each elimination
+    step scales the remainder by the lowest integer factor that cancels its
+    top coordinate, and after each division the remainder and its cofactor
+    are divided by their common content, so the relation r = s * nums
+    (modulo ``modulus``) is kept up to an integer factor.
+    """
+    r0, r1 = list(modulus), list(nums)
+    s0, s1 = [], [1]
+    while r1:
+        lead, n1 = r1[-1], len(r1)
+        while len(r0) >= n1:
+            top = r0[-1]
+            g = math.gcd(top, lead)
+            u, v = lead // g, top // g
+            shift = len(r0) - n1
+            # r0 := u r0 - v g^shift r1, and the same on the cofactors
+            r0 = [u * c for c in r0]
+            for i, c in enumerate(r1):
+                r0[shift + i] -= v * c
+            s0 = [u * c for c in s0] + [0] * max(0, shift + len(s1) - len(s0))
+            for i, c in enumerate(s1):
+                s0[shift + i] -= v * c
+            r0, s0 = _strip(r0), _strip(s0)
+        g = math.gcd(*r0, *s0)
+        if g > 1:
+            r0, s0 = [c // g for c in r0], [c // g for c in s0]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    return s0, (r0[0] if len(r0) == 1 else None)
+
+
 class FieldElem:
     """An element of the field named by a FieldDescriptor.
 
-    Stored as a tuple of rationals (coordinates in the power basis of the
-    generator), reduced modulo the minimal polynomial, trailing zeros
-    stripped; the zero element is the empty tuple.
+    Stored as integer coordinates ``nums`` in the power basis of the
+    generator over one positive denominator ``den`` (H. Cohen, A Course in
+    Computational Algebraic Number Theory, sec. 4.2): reduced modulo the
+    minimal polynomial, so at most ``degree`` coordinates, no trailing zero,
+    and in lowest terms, gcd(den, *nums) = 1.  The zero element is ``()``
+    over 1.  Sums, products and inverses run on these integers;
+    ``coefficients`` is a read-only view of the coordinates as Fractions.
     """
 
-    __slots__ = ("descriptor", "coefficients")
+    __slots__ = ("descriptor", "nums", "den")
 
     def __init__(self, descriptor, coefficients):
-        coeffs = [Fraction(c) for c in coefficients]
-        if descriptor.is_extension and len(coeffs) >= len(descriptor.minimal_polynomial):
-            coeffs = _poly_divmod(coeffs, descriptor.minimal_polynomial)[1]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not descriptor.is_extension and len(coeffs) > 1:
+        coeffs = [Fraction(_exact(c)) for c in coefficients]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        while nums and not nums[-1]:
+            nums.pop()
+        if not descriptor.is_extension and len(nums) > 1:
             raise DescriptorMismatchError("rational element with generator coordinates")
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        if len(nums) <= descriptor.degree:
+            elem = _reduced(descriptor, nums, den)
+        else:
+            # a longer list is reduced by Horner's rule on the integer kernels
+            g = FieldElem._make(descriptor, (0, 1), 1)
+            elem = FieldElem._make(descriptor, (), 1)
+            for c in reversed(coeffs):
+                elem = elem * g + c
+        _set_descriptor(self, descriptor)
+        _set_nums(self, elem.nums)
+        _set_den(self, elem.den)
 
     @staticmethod
-    def _make(descriptor, coefficients):
-        # trusted: ``coefficients`` is a tuple of Fractions, reduced modulo
-        # the minimal polynomial, with no trailing zero
-        self = object.__new__(FieldElem)
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "coefficients", coefficients)
+    def _make(descriptor, nums, den):
+        # trusted: ``nums`` is a tuple of ints, at most ``degree`` of them
+        # and with no trailing zero, ``den`` a positive int, and
+        # gcd(den, *nums) = 1; zero is () over 1
+        self = _new(FieldElem)
+        _set_descriptor(self, descriptor)
+        _set_nums(self, nums)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, *a):
@@ -271,8 +340,11 @@ class FieldElem:
     def of(value, descriptor=QQ):
         if isinstance(value, FieldElem):
             return value
-        value = Fraction(value)
-        return FieldElem._make(descriptor, (value,) if value else ())
+        if type(value) is int:
+            return FieldElem._make(descriptor, (value,) if value else (), 1)
+        if type(value) is not Fraction:
+            value = Fraction(_exact(value))
+        return FieldElem._make(descriptor, (value.numerator,) if value else (), value.denominator)
 
     @staticmethod
     def generator(descriptor):
@@ -281,24 +353,29 @@ class FieldElem:
         return FieldElem(descriptor, [0, 1])
 
     @property
+    def coefficients(self):
+        """The coordinates as a tuple of Fractions, constant term first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self):
-        return not self.coefficients
+        return not self.nums
 
     @property
     def is_rational(self):
-        return len(self.coefficients) <= 1
+        return len(self.nums) <= 1
 
     def as_fraction(self):
         if not self.is_rational:
             raise DescriptorMismatchError("element is not rational")
-        return self.coefficients[0] if self.coefficients else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def lift(self, descriptor):
         """Re-express this element in ``descriptor`` (identity, or Q into Q(g))."""
         if descriptor is self.descriptor or descriptor == self.descriptor:
             return self
         if not self.descriptor.is_extension:
-            return FieldElem._make(descriptor, self.coefficients)
+            return FieldElem._make(descriptor, self.nums, self.den)
         raise DescriptorMismatchError(
             f"cannot move element of {self.descriptor!r} into {descriptor!r}")
 
@@ -313,27 +390,42 @@ class FieldElem:
         return (self, other)
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        ca, cb = a.coefficients, b.coefficients
-        if len(ca) <= 1 and len(cb) <= 1:
-            s = (ca[0] if ca else 0) + (cb[0] if cb else 0)
-            return FieldElem._make(a.descriptor, (s,) if s else ())
-        if len(ca) < len(cb):
-            ca, cb = cb, ca
-        out = list(ca)
-        for i, c in enumerate(cb):
-            out[i] += c
-        while out and not out[-1]:
-            out.pop()
-        return FieldElem._make(a.descriptor, tuple(out))
+        if other.__class__ is FieldElem and other.descriptor is self.descriptor:
+            a, b = self, other
+        else:
+            pair = self._pair(other)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
+        na, nb, da, db = a.nums, b.nums, a.den, b.den
+        if len(na) <= 1 and len(nb) <= 1:
+            x, y = (na[0] if na else 0), (nb[0] if nb else 0)
+            if da == db:
+                n, d = x + y, da
+            else:
+                n, d = x * db + y * da, da * db
+            if d != 1:
+                g = math.gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+            return FieldElem._make(a.descriptor, (n,) if n else (), d)
+        if len(na) < len(nb):
+            na, nb, da, db = nb, na, db, da
+        if da == db:
+            out = list(na)
+            for i, y in enumerate(nb):
+                out[i] += y
+            return _reduced(a.descriptor, out, da)
+        out = [x * db for x in na]
+        for i, y in enumerate(nb):
+            out[i] += y * da
+        return _reduced(a.descriptor, out, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem._make(self.descriptor, tuple(-c for c in self.coefficients))
+        return FieldElem._make(self.descriptor, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, FieldElem)):
@@ -344,38 +436,67 @@ class FieldElem:
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        ca, cb = a.coefficients, b.coefficients
-        if len(ca) > len(cb):
-            ca, cb = cb, ca
-        if not ca:
-            return FieldElem._make(a.descriptor, ())
-        if len(ca) == 1:
-            # a nonzero rational times a reduced element stays reduced
-            k = ca[0]
-            return FieldElem._make(a.descriptor, tuple(k * c for c in cb))
-        out = _poly_mul_q(ca, cb)
-        m = a.descriptor.minimal_polynomial
-        if len(out) >= len(m):
-            out = _poly_divmod(out, m)[1]
-        return FieldElem._make(a.descriptor, tuple(out))
+        if other.__class__ is FieldElem and other.descriptor is self.descriptor:
+            a, b = self, other
+        else:
+            pair = self._pair(other)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
+        na, nb, da, db = a.nums, b.nums, a.den, b.den
+        if len(na) > len(nb):
+            na, nb, da, db = nb, na, db, da
+        if not na:
+            return FieldElem._make(a.descriptor, (), 1)
+        if len(na) == 1:
+            x = na[0]
+            if len(nb) == 1:
+                n, d = x * nb[0], da * db
+                if d != 1:
+                    g = math.gcd(n, d)
+                    if g != 1:
+                        n //= g
+                        d //= g
+                return FieldElem._make(a.descriptor, (n,), d)
+            # a nonzero rational times a reduced element needs no reduction
+            # modulo the minimal polynomial, only the common factor
+            return _reduced(a.descriptor, [x * y for y in nb], da * db)
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, x in enumerate(na):
+            if x:
+                for j, y in enumerate(nb):
+                    out[i + j] += x * y
+        desc = a.descriptor
+        deg = len(desc.minimal_polynomial) - 1
+        if len(out) <= deg:
+            return _reduced(desc, out, da * db)
+        rden = desc.reduction_den
+        low = out[:deg] if rden == 1 else [rden * c for c in out[:deg]]
+        for c, row in zip(out[deg:], desc.reduction_rows):
+            if c:
+                for i, r in enumerate(row):
+                    low[i] += c * r
+        return _reduced(desc, low, da * db * rden)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.is_rational:
-            return FieldElem._make(self.descriptor, (1 / self.coefficients[0],))
-        g, s = _poly_ext_gcd_q(list(self.coefficients), list(self.descriptor.minimal_polynomial))
+        nums, den = self.nums, self.den
+        if len(nums) == 1:
+            n = nums[0]
+            return FieldElem._make(self.descriptor, (den if n > 0 else -den,), abs(n))
+        desc = self.descriptor
+        # reduction_den * (minimal polynomial), an integer multiple of it
+        modulus = [-c for c in desc.reduction_rows[0]] + [desc.reduction_den]
+        s, c = _inverse_nums(nums, modulus)
         # the minimal polynomial is irreducible, so the gcd is a nonzero constant
-        if len(g) != 1:
+        if c is None:
             raise PreconditionError("minimal polynomial is reducible: gcd with element nontrivial")
-        inv = [c / g[0] for c in s]
-        return FieldElem(self.descriptor, inv)
+        if c < 0:
+            s, c = [-x for x in s], -c
+        return _reduced(desc, [den * x for x in s], c)
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -392,6 +513,9 @@ class FieldElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
+        if len(self.nums) == 1:
+            # powers of coprime integers stay coprime
+            return FieldElem._make(self.descriptor, (self.nums[0] ** n,), self.den ** n)
         out = FieldElem.of(1, self.descriptor)
         base = self
         while n:
@@ -402,20 +526,23 @@ class FieldElem:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.as_fraction() == other
+        if isinstance(other, int):
+            return self.den == 1 and (self.nums == (other,) if other else not self.nums)
+        if isinstance(other, Fraction):
+            return self.den == other.denominator and (
+                self.nums == (other.numerator,) if other else not self.nums)
         if not isinstance(other, FieldElem):
             return NotImplemented
         # a rational keeps its coordinates in every field, so values over two
         # different extensions are equal only when both are that rational
-        if self.coefficients != other.coefficients:
+        if self.nums != other.nums or self.den != other.den:
             return False
         return self.is_rational or self.descriptor == other.descriptor
 
     def __hash__(self):
         if self.is_rational:
             return hash(self.as_fraction())
-        return hash((self.descriptor, self.coefficients))
+        return hash((self.descriptor, self.nums, self.den))
 
     def __repr__(self):
         return self.to_str()
@@ -424,7 +551,7 @@ class FieldElem:
         if self.is_zero:
             return "0"
         if self.is_rational:
-            return str(self.coefficients[0])
+            return str(self.as_fraction())
         name = self.descriptor.generator_name
         parts = []
         for i, c in enumerate(self.coefficients):
@@ -446,6 +573,12 @@ class FieldElem:
         return out
 
 
+# The trusted constructors write the slots through their descriptors: the
+# classes refuse attribute assignment, and this is the cheapest way past it.
+_new = object.__new__
+_set_descriptor, _set_nums, _set_den = (FieldElem.__dict__[n].__set__ for n in FieldElem.__slots__)
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -460,7 +593,7 @@ def _accumulate(terms, items):
     for k, c in items:
         if k in terms:
             s = terms[k] + c
-            if s.coefficients:
+            if s.nums:
                 terms[k] = s
             else:
                 del terms[k]
@@ -497,10 +630,10 @@ class MultiPoly:
     def _make(variables, descriptor, terms):
         # trusted: ``variables`` is a tuple and ``terms`` maps int exponent
         # tuples of its arity to nonzero FieldElems over ``descriptor``
-        self = object.__new__(MultiPoly)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "terms", terms)
+        self = _new(MultiPoly)
+        _set_variables(self, variables)
+        _set_poly_descriptor(self, descriptor)
+        _set_terms(self, terms)
         return self
 
     def __setattr__(self, *a):
@@ -520,7 +653,7 @@ class MultiPoly:
             c = c.lift(descriptor)
         variables = tuple(variables)
         return MultiPoly._make(variables, descriptor,
-                               {(0,) * len(variables): c} if c.coefficients else {})
+                               {(0,) * len(variables): c} if c.nums else {})
 
     @staticmethod
     def variable(name, variables, descriptor=QQ):
@@ -637,7 +770,7 @@ class MultiPoly:
         # zeros are dropped only at the end, so a monomial that cancels and
         # comes back keeps its first place in the term order
         return MultiPoly._make(a.variables, a.descriptor,
-                               {k: c for k, c in out.items() if c.coefficients})
+                               {k: c for k, c in out.items() if c.nums})
 
     __rmul__ = __mul__
 
@@ -744,6 +877,10 @@ class MultiPoly:
         return self.to_str()
 
 
+_set_variables, _set_poly_descriptor, _set_terms = (
+    MultiPoly.__dict__[n].__set__ for n in MultiPoly.__slots__)
+
+
 # ---------------------------------------------------------------------------
 # Truncated power series in one variable
 # ---------------------------------------------------------------------------
@@ -772,7 +909,7 @@ class PowerSeries:
         terms = {}
         for e, c in items:
             c = c if isinstance(c, FieldElem) else FieldElem.of(c, descriptor)
-            if 0 <= e < truncation_order and c.coefficients:
+            if 0 <= e < truncation_order and c.nums:
                 terms[e] = c.lift(descriptor)
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "truncation_order", truncation_order)
@@ -958,8 +1095,15 @@ def _univariate_coeffs(p, var):
     return out
 
 
+def _is_unit(p):
+    return not p.is_zero and p.is_constant
+
+
 def gcd_univariate(f, g, var):
     """Monic gcd of two polynomials involving only ``var``."""
+    if _is_unit(f) or _is_unit(g):
+        # no dense coefficient list: its length is the degree, not the terms
+        return MultiPoly.constant(1, f.variables, f.descriptor)
     a, b = _univariate_coeffs(f, var), _univariate_coeffs(g, var)
     while b:
         a, b = b, _poly_divmod(a, b)[1]
@@ -998,13 +1142,13 @@ def _pseudo_rem(f, g, var):
 
 def _content_in(p, var, other):
     # gcd of the `var`-coefficients, each a polynomial in `other` alone
-    coeffs = p.coeffs_in(var)
+    coeffs = [c for c in p.coeffs_in(var) if not c.is_zero]
+    if any(c.is_constant for c in coeffs):
+        return MultiPoly.constant(1, p.variables, p.descriptor)
     g = MultiPoly.zero(p.variables, p.descriptor)
     for c in coeffs:
-        if c.is_zero:
-            continue
         g = c if g.is_zero else gcd_univariate(g, c, other)
-        if not g.is_zero and g.is_constant:
+        if g.is_constant:
             return MultiPoly.constant(1, p.variables, p.descriptor)
     return g
 

@@ -323,7 +323,7 @@ def _newton_step(f, q, p, d, c):
             v = a * w
             key = (e, k)
             out[key] = out[key] + v if key in out else v
-    return MultiPoly._make(f.variables, desc, {k: v for k, v in out.items() if v.coefficients})
+    return MultiPoly._make(f.variables, desc, {k: v for k, v in out.items() if v.nums})
 
 
 def _separated_steps(f, budget, room):
@@ -390,14 +390,14 @@ def _root_terms(f, budget, room, width):
         # phi^j has order j p; its x^m coefficient needs phi below x^m only
         for j in range(2, min(n, m // p) + 1):
             s = _convolved(phi.items(), powers[j - 1], m, m - (j - 1) * p)
-            if s is not None and s.coefficients:
+            if s is not None and s.nums:
                 powers[j][m] = s
         s = None
         for j, row in rows.items():
             v = _convolved(row, powers[j], m, m - j * p)
             if v is not None:
                 s = v if s is None else s + v
-        if s is None or not s.coefficients:
+        if s is None or not s.nums:
             continue
         phi[m] = s * neg_inv
         _check_room(len(phi), room)
@@ -531,7 +531,7 @@ def _times(a, b, cut):
                 v = ca * cb
                 out[(e,)] = out[(e,)] + v if (e,) in out else v
     return MultiPoly._make(("t",), _join(a.descriptor, b.descriptor),
-                           {k: v for k, v in out.items() if v.coefficients})
+                           {k: v for k, v in out.items() if v.nums})
 
 
 def _verify_on_curve(branch, f_local):

@@ -399,6 +399,23 @@ def test_huge_precision_on_a_separated_branch_hits_the_depth_cap(tmp_path):
     assert proc.stderr == "error: branch expansion exceeded the recursion cap\n"
 
 
+@pytest.mark.parametrize("divisor", ["y - x - x^100000000", "y^2 - x^3 - x^100000001",
+                                     "y - x - x^1000000000000"])
+def test_squarefree_check_costs_terms_not_degree(tmp_path, divisor):
+    # a unit coefficient in y ends the gcd of the x-contents, so no dense
+    # list as long as the x-degree is built; the last divisor's list alone
+    # would need terabytes
+    doc = {"variables": ["x", "y"],
+           "germ": {"vector_field": ["x", "y"], "divisor": divisor}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "folindex.cli", "puiseux",
+         "--input", write_problem(tmp_path, doc)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=20,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PUISEUX_BRANCHES = 1")
+
+
 def test_bad_cap_value_is_exit_1(tmp_path, monkeypatch):
     monkeypatch.setenv("FOLINDEX_PRECISION_CAP", "one")
     code, _ = run(tmp_path, ["index", "--kind", "euobs"], NONEXACT)

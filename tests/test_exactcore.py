@@ -1,5 +1,6 @@
 """Exact arithmetic layer: field elements, polynomials, parsing, gcd, roots."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from folindex.exactcore import (
     try_divide,
     univariate_roots,
     _join,
+    _poly_divmod,
     _resultant_sympy,
     _sympy_ring,
 )
@@ -526,12 +528,17 @@ def test_power_series_truncation_window():
 def _assert_clean_elem(e, desc):
     """The checked FieldElem constructor's invariants, over ``desc``."""
     assert type(e) is FieldElem and e.descriptor == desc
+    nums, den = e.nums, e.den
+    # exact types: a stray / would leave a float here
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    assert len(nums) <= desc.degree
     cs = e.coefficients
-    assert type(cs) is tuple and all(type(c) is Fraction for c in cs)
-    assert not cs or cs[-1] != 0
-    assert len(cs) <= desc.degree
+    assert cs == tuple(Fraction(n, den) for n in nums)
     rebuilt = FieldElem(desc, cs)
-    assert rebuilt == e and rebuilt.coefficients == cs
+    assert rebuilt == e and (rebuilt.nums, rebuilt.den) == (nums, den)
 
 
 def _assert_clean_poly(p, desc):
@@ -594,3 +601,125 @@ def test_every_result_meets_the_checked_invariants(d1, d2, data):
         if q is not None:
             _assert_clean_poly(q, desc)
             assert q * b == a
+
+
+# ------------------------------------- integer kernels against a Fraction model
+
+# degrees 2 to 7, integral and not
+DIFFERENTIAL_FIELDS = [
+    FieldDescriptor.simple_extension("a", [Fraction(-1, 3), Fraction(-1, 2), 1]),
+    FieldDescriptor.simple_extension("b", [-2, 0, 0, 1]),
+    FieldDescriptor.simple_extension("c", [-3, 0, 0, Fraction(1, 2), 1]),
+    FieldDescriptor.simple_extension("d", [Fraction(1, 5), Fraction(-2, 3), 0, 0, 0, 1]),
+    FieldDescriptor.simple_extension("e", [1] * 7),   # the 7th cyclotomic polynomial
+    FieldDescriptor.simple_extension("f", [1, -3, 0, 0, 0, 0, 0, 1]),
+]
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=15)
+
+
+def _ref_reduce(coeffs, desc):
+    return _poly_divmod(coeffs, list(desc.minimal_polynomial))[1]
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _ref_inverse(a, desc):
+    # extended Euclid over Q: s * a = g modulo the minimal polynomial
+    r0, r1 = list(desc.minimal_polynomial), list(a)
+    s0, s1 = [], [Fraction(1)]
+    while any(r1):
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_sub(s0, _ref_mul(q, s1))
+    assert len(r0) == 1
+    return _ref_reduce([c / r0[0] for c in s0], desc)
+
+
+def _ref_pow(a, n, desc):
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = _ref_reduce(_ref_mul(out, a), desc)
+    return out
+
+
+def _coords(e):
+    return list(e.coefficients)
+
+
+@st.composite
+def coordinate_lists(draw, desc):
+    # up to twice the degree, so the constructor reduces some of them
+    return draw(st.lists(rationals, max_size=2 * desc.degree))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_FIELDS), st.data())
+def test_integer_kernels_match_the_fraction_model(desc, data):
+    ca, cb = data.draw(coordinate_lists(desc)), data.draw(coordinate_lists(desc))
+    a, b = FieldElem(desc, ca), FieldElem(desc, cb)
+    ra, rb = _ref_reduce(ca, desc), _ref_reduce(cb, desc)
+    assert _coords(a) == ra and _coords(b) == rb
+    assert _coords(a + b) == _ref_reduce(_ref_sub(ra, [-c for c in rb]), desc)
+    assert _coords(a - b) == _ref_reduce(_ref_sub(ra, rb), desc)
+    assert _coords(a * b) == _ref_reduce(_ref_mul(ra, rb), desc)
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    assert _coords(a ** n) == _ref_pow(ra, n, desc)
+    q = data.draw(rationals)
+    assert _coords(a * q) == _coords(q * a) == _ref_reduce([c * q for c in ra], desc)
+    assert _coords(a + q) == _ref_reduce(_ref_sub(ra, [-q]), desc)
+    for e in (a, b, a * b, a + b, a ** n):
+        _assert_clean_elem(e, desc)
+    if not a.is_zero:
+        inv = a.inverse()
+        _assert_clean_elem(inv, desc)
+        assert _coords(inv) == _ref_inverse(ra, desc)
+        assert a * inv == 1
+        assert _coords(a ** -n) == _ref_pow(_ref_inverse(ra, desc), n, desc)
+        assert b / a * a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+       st.sampled_from([QQ, SQRT2, DIFFERENTIAL_FIELDS[0]]))
+def test_rational_equality_and_hash_match_int_and_fraction(q, n, desc):
+    for value in (q, n):
+        e = FieldElem.of(value).lift(desc)
+        _assert_clean_elem(e, desc)
+        assert e == value and value == e
+        assert hash(e) == hash(value)
+        assert e.as_fraction() == value
+        assert (e != value + 1) and not (e == Fraction(1, 7) + value)
+    e = FieldElem.of(q, desc)
+    assert e == FieldElem.of(q) and hash(e) == hash(FieldElem.of(q))
+    assert (e * e) == q * q and (e + n) == q + n and (e - n) == q - n
+    if q:
+        assert e.inverse() == 1 / q and (n / e) == n / q
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FieldElem.of(0.1),
+    lambda: FieldElem.of(2.0, SQRT2),
+    lambda: FieldElem(QQ, [0.5]),
+    lambda: FieldElem(SQRT2, [1, 0.25]),
+    lambda: FieldDescriptor.simple_extension("s", [-2.0, 0, 1]),
+    lambda: MultiPoly(V2, QQ, {(1, 0): 0.5}),
+    lambda: fe(1) + 0.5,
+    lambda: fe(1) * 0.5,
+], ids=["of", "of-extension", "init", "init-extension", "simple-extension",
+        "multipoly", "add", "mul"])
+def test_floats_are_refused(build):
+    # 0.1 is 3602879701896397/36028797018963968 in binary: no exact answer
+    # may rest on it, so no public constructor turns it into a rational
+    with pytest.raises(TypeError):
+        build()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from folindex.exactcore import PreconditionError
+from folindex.exactcore import PreconditionError, divides
 from folindex.localmult import (
     INFINITE,
     curve_multiplicity,
@@ -13,7 +13,7 @@ from folindex.localmult import (
     milnor_number,
 )
 
-from conftest import ORIGIN, P2, dual_oracle_pairs
+from conftest import ORIGIN, P2, branch_order_sum, dual_oracle_pairs
 from test_exactcore import polys
 
 CUSP = P2("y^2 - x^3")
@@ -138,3 +138,22 @@ def test_branch_expansion_agrees_with_recursion():
     assert len(pairs) == 100
     for f, g, fulton, total in pairs:
         assert total == fulton, f"disagreement on f={f!r} g={g!r}"
+
+
+def test_polar_identity_matches_the_milnor_number():
+    """Teissier's polar identity mu(f) = I(f, f_y) - I(f, x) + 1 for reduced
+    f without the component x = 0 (B. Teissier, Cycles evanescents,
+    sections planes et conditions de Whitney, Asterisque 7-8, 1973).  Its
+    right side is read from branch orders alone, so it checks Fulton's
+    recursion in milnor_number against an independent computation."""
+    x = P2("x")
+    checked = 0
+    for f, _, _, _ in dual_oracle_pairs(count=25, seed=20260822):
+        fy = f.diff("y")
+        if fy.is_zero or divides(x, f):
+            continue
+        polar, transversal = branch_order_sum(f, fy), branch_order_sum(f, x)
+        assert polar is not None and transversal is not None, f"no order on f={f!r}"
+        assert milnor_number(f, ORIGIN) == polar - transversal + 1, f"disagreement on f={f!r}"
+        checked += 1
+    assert checked == 17  # the other 8 have x = 0 as a component
