@@ -33,7 +33,6 @@ from .exactcore import (
     NotLogarithmicError,
     NotSaturatedError,
     ParseError,
-    PowerSeries,
     PreconditionError,
     QQ,
     ResourceCapError,
@@ -134,7 +133,6 @@ __all__ = [
     "NotLogarithmicError",
     "NotSaturatedError",
     "ParseError",
-    "PowerSeries",
     "PreconditionError",
     "ProjFoliation",
     "QQ",

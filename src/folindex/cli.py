@@ -62,7 +62,7 @@ from .indices import (
     polar_intersection,
     schwartz_index,
 )
-from .puiseux import branches
+from .puiseux import branches, series_text
 from .verify import (
     verify_baum_bott,
     verify_isolated,
@@ -317,8 +317,8 @@ def _cmd_puiseux(args):
     origin = (FieldElem.of(0, desc), FieldElem.of(0, desc))
     found = branches(curve, origin, args.precision)
     listing = [{
-        "x": repr(b.x_series),
-        "y": repr(b.y_series),
+        "x": series_text(b.x_poly, b.precision),
+        "y": series_text(b.y_poly, b.precision),
         "multiplicity": b.multiplicity,
         "conjugacy": b.conjugacy_size,
         "exact": b.exact,

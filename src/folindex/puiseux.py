@@ -43,7 +43,6 @@ from .exactcore import (
     MultiPoly,
     NonReducedError,
     NonTangentError,
-    PowerSeries,
     PreconditionError,
     ResourceCapError,
     _accumulate,
@@ -52,7 +51,6 @@ from .exactcore import (
     divexact,
     factor_univariate,
     squarefree_at,
-    substitute,
     translate_to_origin,
 )
 
@@ -94,8 +92,8 @@ class Branch:
     number of distinct branches the representative stands for.  When
     ``exact`` is set the two polynomials are the whole truth; otherwise
     they hold the terms below t^``precision`` and nothing is known
-    beyond.  ``x_series`` and ``y_series`` show them truncated at
-    t^``precision``.
+    beyond.  ``series_text(poly, precision)`` prints either polynomial
+    truncated at t^``precision``.
     """
 
     descriptor: FieldDescriptor
@@ -108,18 +106,24 @@ class Branch:
     point: tuple
     variables: tuple
 
-    @property
-    def x_series(self):
-        return _series(self.x_poly, self.precision)
 
-    @property
-    def y_series(self):
-        return _series(self.y_poly, self.precision)
+def series_text(poly, n):
+    """A polynomial in t as the series text of the ``puiseux`` report.
 
-
-def _series(poly, n):
-    return PowerSeries.from_dict("t", n, {k[0]: c for k, c in poly.terms.items()},
-                                 poly.descriptor)
+    Terms of degree >= n are dropped, even on an exact branch.  The rest
+    come in ascending order, joined by " + "; a coefficient 1 before a
+    power of t is left out, -1 is not (``-1*t^3``), and a Q(theta)
+    coefficient goes in parentheses (``(r)*t``).  The text ends in
+    ``O(t^n)``, and is ``0 + O(t^n)`` when no term is left.
+    """
+    parts = []
+    for (e,), c in sorted(poly.terms.items()):
+        if e >= n:
+            break
+        cs = c.to_str() if c.is_rational else f"({c.to_str()})"
+        mono = "t" if e == 1 else f"t^{e}"
+        parts.append(cs if e == 0 else mono if cs == "1" else f"{cs}*{mono}")
+    return f"{' + '.join(parts) or '0'} + O(t^{n})"
 
 
 def _below(poly, n):
@@ -649,23 +653,3 @@ def nash_lift_order(branch, v):
             suggested_precision=2 * branch.precision)
     return o
 
-
-def reparametrize(branch, inner):
-    """The same branch traversed through t -> inner(t) (inner a unit times t).
-
-    ``inner`` is a series in t at the branch's truncation order.  Exactness
-    is dropped: the composed polynomials are only known to the truncation.
-    Used to exercise reparametrization invariance.
-    """
-    if inner.order() != 1:
-        raise PreconditionError("reparametrization must vanish to order exactly 1")
-    branch.x_series._check_shape(inner)
-    n = branch.precision
-    s = MultiPoly._make(("t",), inner.descriptor, {(e,): c for e, c in inner.terms.items()})
-    # terms of degree >= n stay there under a map of order 1, so cut first
-    xp, yp = (_below(substitute(_below(p, n), {"t": s}), n)
-              for p in (branch.x_poly, branch.y_poly))
-    return Branch(descriptor=xp.descriptor, x_poly=xp, y_poly=yp, precision=n,
-                  multiplicity=branch.multiplicity,
-                  conjugacy_size=branch.conjugacy_size, exact=False,
-                  point=branch.point, variables=branch.variables)

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line on the terminal (bypassing
 capture) so a plain ``pytest -v`` run shows the verdict per criterion.
 """
 
+import hashlib
 import random
 from contextlib import contextmanager
 
@@ -127,12 +128,19 @@ def test_criterion_02_identity_suite(announce):
             assert index_pairing(comp, v) == log_index(v, auto_saito_basis(f)).value
 
 
+# sha256 of the 100 sampled triples, one line "f|g|fulton|total" per pair
+# (f.to_str(), g.to_str() and the two integers), joined by "\n", UTF-8
+DUAL_ORACLE_SHA256 = "f5d23432c1305333aa95ab9d55cab21e6170cc930db359b19b15ee3828a71123"
+
+
 def test_criterion_03_dual_oracle(announce):
     with announce(3, "recursion vs branch expansion on 100 random pairs"):
         pairs = dual_oracle_pairs(count=100, seed=20260822)
         assert len(pairs) == 100
         for f, g, fulton, total in pairs:
             assert total == fulton, (f.to_str(), g.to_str())
+        lines = (f"{f.to_str()}|{g.to_str()}|{fulton}|{total}" for f, g, fulton, total in pairs)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DUAL_ORACLE_SHA256
 
 
 def test_criterion_04_degree_count(announce):

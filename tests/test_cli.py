@@ -416,6 +416,26 @@ def test_squarefree_check_costs_terms_not_degree(tmp_path, divisor):
     assert proc.stdout.startswith("PUISEUX_BRANCHES = 1")
 
 
+@pytest.mark.parametrize("divisor", ["x^100000000*y - x^100000001",
+                                     "y^3 - x^100000000*y - x^3",
+                                     "x*y - x^100000000 - y^100000000"])
+def test_dense_list_past_the_width_cap_is_exit_4(tmp_path, divisor):
+    # no y-coefficient is a unit, so the square-free check needs a dense
+    # list as long as a degree of 10^8 (in _univariate_coeffs, in the
+    # remainders of gcd_univariate, in coeffs_in): the width cap refuses it
+    doc = {"variables": ["x", "y"],
+           "germ": {"vector_field": ["x", "y"], "divisor": divisor}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "folindex.cli", "puiseux",
+         "--input", write_problem(tmp_path, doc)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=20,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: dense coefficient list of degree ")
+    assert proc.stderr.endswith("exceeds the width cap 10000\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_bad_cap_value_is_exit_1(tmp_path, monkeypatch):
     monkeypatch.setenv("FOLINDEX_PRECISION_CAP", "one")
     code, _ = run(tmp_path, ["index", "--kind", "euobs"], NONEXACT)

@@ -14,8 +14,8 @@ from folindex.exactcore import (
     FieldElem,
     MultiPoly,
     ParseError,
-    PowerSeries,
     PreconditionError,
+    ResourceCapError,
     divexact,
     divides,
     factor_univariate,
@@ -28,10 +28,12 @@ from folindex.exactcore import (
     translate_to_origin,
     try_divide,
     univariate_roots,
+    _DENSE_WIDTH_CAP,
     _join,
     _poly_divmod,
     _resultant_sympy,
     _sympy_ring,
+    _univariate_coeffs,
 )
 
 from conftest import P2, V2
@@ -114,19 +116,6 @@ def test_equality_across_two_extensions_compares_instead_of_raising():
     assert FieldElem.generator(SQRT2) != fe(2, SQRT3)
     assert parse_poly("x + 2", V2, SQRT2) == parse_poly("x + 2", V2, SQRT3)
     assert parse_poly("x + r", V2, SQRT2) != parse_poly("x + s", V2, SQRT3)
-
-
-def test_series_equality_across_two_extensions_compares_instead_of_raising():
-    def series(desc, coeffs):
-        return PowerSeries("t", 3, [FieldElem(desc, c) for c in coeffs], desc)
-
-    assert series(SQRT2, [[2]]) == series(SQRT3, [[2]])
-    assert series(SQRT2, [[2]]) == series(QQ, [[2]])
-    assert series(SQRT2, [[2]]) != series(SQRT3, [[3]])
-    assert series(SQRT2, [[0, 1]]) != series(SQRT3, [[0, 1]])
-    assert series(SQRT2, [[0, 1]]) != series(QQ, [[0], [1]])
-    with pytest.raises(DescriptorMismatchError):
-        series(QQ, [[1]]) == PowerSeries("t", 4, [1])
 
 
 def test_polynomial_hash_ignores_the_field_as_equality_does():
@@ -507,20 +496,17 @@ def test_squarefree_at():
     assert not squarefree_at(f, (Fraction(1), Fraction(0)))
 
 
-# -------------------------------------------------------------- power series
-
-def test_power_series_basic():
-    s = PowerSeries.from_dict("t", 8, {2: Fraction(1), 3: Fraction(-1)})
-    assert s.order() == 2
-    assert s.coefficient(3) == fe(-1)
-    assert s.coefficient(5) == fe(0)
-
-
-def test_power_series_truncation_window():
-    s = PowerSeries.from_dict("t", 4, {3: Fraction(1)})
-    assert s == PowerSeries("t", 4, [0, 0, 0, 1, 5])
-    assert PowerSeries.from_dict("t", 4, {4: Fraction(1)}).is_zero_up_to_truncation
-    assert PowerSeries.zero("t", 4).order() is None
+def test_dense_lists_stop_at_the_width_cap():
+    top = _DENSE_WIDTH_CAP - 1
+    assert len(_univariate_coeffs(P2(f"x^{top} + 1"), "x")) == _DENSE_WIDTH_CAP
+    assert len(P2(f"x*y^{top} + x").coeffs_in("y")) == _DENSE_WIDTH_CAP
+    over = P2(f"x^{top + 1} + 1")
+    with pytest.raises(ResourceCapError):
+        _univariate_coeffs(over, "x")
+    with pytest.raises(ResourceCapError):
+        over.coeffs_in("x")
+    with pytest.raises(ResourceCapError):
+        gcd_bivariate(over * P2("y"), P2(f"x^{top + 1}*y^2 + x"))
 
 
 # ------------------------------------------------ invariants of every result

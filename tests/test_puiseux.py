@@ -13,12 +13,10 @@ from hypothesis import given, settings, strategies as st
 from folindex import puiseux
 from folindex.exactcore import (
     QQ,
-    DescriptorMismatchError,
     FieldDescriptor,
     FieldElem,
     MultiPoly,
     NonReducedError,
-    PowerSeries,
     PreconditionError,
     divexact,
     parse_poly,
@@ -26,12 +24,14 @@ from folindex.exactcore import (
 )
 from folindex.puiseux import (
     ZERO_UP_TO_TRUNCATION,
+    Branch,
     InsufficientPrecisionError,
+    _below,
     _newton_step,
     branches,
     nash_lift_order,
     ord_along_branch,
-    reparametrize,
+    series_text,
 )
 from folindex.localmult import curve_multiplicity
 
@@ -161,29 +161,18 @@ def test_order_invariant_under_reparametrization():
             # an inexact branch: its polynomials hold only the terms below t^32
             ("y^2 - x^3 - x^4", 32, ("2*y", "3*x^2 + 4*x^3"))):
         b = expand(curve, precision=precision)[0]
-        inner = PowerSeries.from_dict("t", b.x_series.truncation_order,
-                                      {1: Fraction(1), 2: Fraction(1)})
-        rb = reparametrize(b, inner)
-        assert not rb.exact
+        # traverse the branch through t -> t + t^2; terms of degree >= n
+        # stay there under a map of order 1, so cut before and after
+        n = b.precision
+        inner = MultiPoly(("t",), QQ, {(1,): 1, (2,): 1})
+        xp, yp = (_below(substitute(_below(p, n), {"t": inner}), n)
+                  for p in (b.x_poly, b.y_poly))
+        rb = Branch(descriptor=xp.descriptor, x_poly=xp, y_poly=yp, precision=n,
+                    multiplicity=b.multiplicity, conjugacy_size=b.conjugacy_size,
+                    exact=False, point=b.point, variables=b.variables)
         for text in ("y", "x", "x + y", "y^2 + x^3", curve):
             assert ord_along_branch(rb, P2(text)) == ord_along_branch(b, P2(text)), curve
         assert nash_lift_order(rb, (P2(field[0]), P2(field[1]))) == 3, curve
-
-
-def test_reparametrization_needs_the_same_series_shape():
-    b = expand("y^2 - x^3")[0]
-    n = b.x_series.truncation_order
-    for inner in (PowerSeries.from_dict("t", n + 1, {1: Fraction(1)}),
-                  PowerSeries.from_dict("s", n, {1: Fraction(1)})):
-        with pytest.raises(DescriptorMismatchError):
-            reparametrize(b, inner)
-
-
-def test_reparametrization_needs_unit():
-    b = expand("y^2 - x^3")[0]
-    inner = PowerSeries.from_dict("t", b.x_series.truncation_order, {2: Fraction(1)})
-    with pytest.raises(PreconditionError):
-        reparametrize(b, inner)
 
 
 # ------------------------------------------------------- the direct step
@@ -258,7 +247,7 @@ def _branch_records(precisions=(8, 32), count=25):
         for n in precisions:
             for b in branches(f, ORIGIN, n):
                 lines.append("|".join([
-                    f.to_str(), str(n), repr(b.x_series), repr(b.y_series),
+                    f.to_str(), str(n), series_text(b.x_poly, n), series_text(b.y_poly, n),
                     str(b.multiplicity), str(b.conjugacy_size), str(b.exact),
                     repr(b.descriptor), ",".join(repr(ord_along_branch(b, g)) for g in gs)]))
     return lines
@@ -267,6 +256,19 @@ def _branch_records(precisions=(8, 32), count=25):
 def test_branch_records_are_pinned():
     digest = hashlib.sha256("\n".join(_branch_records()).encode()).hexdigest()
     assert digest == BRANCH_RECORDS_SHA256
+
+
+@pytest.mark.parametrize("text, desc, want", [
+    ("t^3 - t^2 + 1/2*t + 1", QQ, "1 + 1/2*t + -1*t^2 + t^3 + O(t^8)"),
+    ("r*t + (1 + r)*t^2 - 2 - t^9", SQRT2, "-2 + (r)*t + (1 + r)*t^2 + O(t^8)"),
+    ("r", SQRT2, "(r) + O(t^8)"),
+    ("0", QQ, "0 + O(t^8)"),
+    # y_poly of the exact branch of y - x - x^10: cut all the same
+    ("t + t^10", QQ, "t + O(t^8)"),
+])
+def test_series_text_formats_a_polynomial_in_t(text, desc, want):
+    # the texts the series type printed before series_text replaced it
+    assert series_text(parse_poly(text, ("t",), desc), 8) == want
 
 
 # -------------------------------------------------- separated branches
