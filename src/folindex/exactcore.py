@@ -105,6 +105,19 @@ class ExtensionRequiredError(PreconditionError):
         self.descriptor = descriptor
 
 
+class _Sentinel:
+    """A named marker value (``INFINITE``, ``ZERO_UP_TO_TRUNCATION``); its
+    repr is the name, and it equals only itself."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+
 # ---------------------------------------------------------------------------
 # Univariate helpers (coefficient lists, constant term first).  _poly_divmod
 # needs only + - * / and comparison with 0, so it divides lists of Fractions
@@ -1050,7 +1063,7 @@ def _pseudo_rem(f, g, var):
             if len(r) - 1 < dg:
                 break
         lead = r[-1]
-        r = [p * lg for p in r[:-1]]
+        r = [p * lg if p.terms else p for p in r[:-1]]
         shift = len(r) - dg
         for i in range(dg):
             r[shift + i] = r[shift + i] - lead * cg[i]

@@ -11,36 +11,18 @@ from dataclasses import dataclass
 from .exactcore import (
     MultiPoly,
     NonIsolatedError,
+    NonReducedError,
     PreconditionError,
     ResourceCapError,
     translate_to_origin,
     gcd_bivariate,
     divexact,
     squarefree_at,
+    _Sentinel,
 )
 
 
-class _Infinite:
-    """Sentinel for an unbounded colength (curves sharing a component)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __hash__(self):
-        return hash("_Infinite")
-
-
-INFINITE = _Infinite()
+INFINITE = _Sentinel("INFINITE")
 
 _DEPTH_CAP = 10 ** 4
 
@@ -145,7 +127,7 @@ def milnor_number(f, p):
     if not value.is_zero:
         raise PreconditionError("point is not on the curve")
     if not squarefree_at(f, p):
-        raise PreconditionError("curve is not reduced at the point")
+        raise NonReducedError("curve is not reduced at the point")
     return _milnor_of_reduced(f, p)
 
 

@@ -16,12 +16,14 @@ map (i, j) -> (q i + p j - d, k) with weights binom(j, k) c^(j-k), with no
 general substitution.  Once a node's polygon is one edge of height 1 (a
 term a*y is present) the branch is separated: the rest of it is the root
 y = phi(x) of the node's polynomial, and every later step strips one term
-of phi.  Those steps are read off one scan of phi's coefficients, the
-regular stage of D. Duval's rational Puiseux algorithm (Compositio Math.
-70, 1989), instead of transforming the polynomial once per term.  The
-scan emits the same (1, p, c) steps the per-term walk would, each of them
-counting against the depth cap, and decides exactness with one exact
-remainder of the separated polynomial by y - phi.
+of phi.  A dense stretch of phi is read off one scan of its coefficients,
+the regular stage of D. Duval's rational Puiseux algorithm (Compositio
+Math. 70, 1989), instead of transforming the polynomial once per term.
+The scan emits the same (1, p, c) steps the walk would, each counting
+against the depth cap, and decides exactness with one exact remainder of
+the separated polynomial by y - phi.  When its window runs out at a gap
+in phi, ordinary walk steps move past the terms found, and the next scan
+starts at the far side of the gap.
 
 A branch is two polynomials in t and a truncation order N.  A branch
 whose expansion terminates (the tail is identically zero) is marked
@@ -45,6 +47,7 @@ from .exactcore import (
     NonTangentError,
     PreconditionError,
     ResourceCapError,
+    _Sentinel,
     _accumulate,
     _fresh_field,
     _join,
@@ -57,21 +60,7 @@ from .exactcore import (
 _DEPTH_CAP = 1000
 
 
-class _ZeroUpToTruncation:
-    """Sentinel: the composition vanished at every computed order."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZERO_UP_TO_TRUNCATION"
-
-
-ZERO_UP_TO_TRUNCATION = _ZeroUpToTruncation()
+ZERO_UP_TO_TRUNCATION = _Sentinel("ZERO_UP_TO_TRUNCATION")
 
 
 class InsufficientPrecisionError(PreconditionError):
@@ -192,62 +181,30 @@ def _sort_key_poly(coeffs):
     return (len(coeffs), tuple(tuple(c.coefficients) for c in coeffs))
 
 
-def _root_of_linear(fac):
-    return -fac[0]
-
-
-def _pick_root(candidates):
-    # deterministic representative: largest by coefficient tuple, so the
-    # cusp expands through +1 rather than -1
-    return max(candidates, key=lambda c: tuple(c.coefficients))
-
-
 def _edge_root_choices(h, q, descriptor, ctx):
-    """Leading coefficients c for one irreducible edge factor h (in c^q).
+    """A leading coefficient c for one irreducible edge factor h (in c^q):
+    a root of h(c^q).
 
-    Returns (c, field of c, conjugacy multiplier).  The multiplier is the
-    number of conjugate edge solutions c stands for; the q-th-root
+    Returns (c, field of c, conjugacy multiplier).  The multiplier deg h is
+    the number of conjugate edge solutions c stands for; the q-th-root
     ambiguity within one solution is a reparametrization, not a new
     branch, and never multiplies.
     """
-    e = len(h) - 1
-    if e == 1:
-        w = _root_of_linear(h)
-        if q == 1:
-            return w, descriptor, 1
-        pow_poly = [-w] + [FieldElem.of(0, descriptor)] * (q - 1) + [FieldElem.of(1, descriptor)]
-        _, facs = factor_univariate(pow_poly, descriptor)
-        linear = [_root_of_linear(fac) for fac, _ in facs if len(fac) == 2]
-        if linear:
-            return _pick_root(linear), descriptor, 1
-        if descriptor.is_extension:
-            raise ExtensionRequiredError(
-                "branch needs a second field extension (a q-th root)",
-                polynomial=[tuple(c.coefficients) for c in pow_poly],
-                descriptor=descriptor)
-        best = min((fac for fac, _ in facs if len(fac) > 2), key=_sort_key_poly)
-        ext = _fresh_extension(best, ctx)
-        return FieldElem.generator(ext), ext, 1
+    hq = [FieldElem.of(0, descriptor)] * ((len(h) - 1) * q + 1)
+    hq[::q] = h
+    facs = [h] if q == 1 else [fac for fac, _ in factor_univariate(hq, descriptor)[1]]
+    roots = [-fac[0] for fac in facs if len(fac) == 2]
+    if roots:
+        # deterministic representative: largest by coefficient tuple, so
+        # the cusp expands through +1 rather than -1
+        return max(roots, key=lambda c: tuple(c.coefficients)), descriptor, len(h) - 1
     if descriptor.is_extension:
         raise ExtensionRequiredError(
-            "branch needs a second field extension (an edge solution)",
-            polynomial=[tuple(c.coefficients) for c in h],
-            descriptor=descriptor)
-    if q == 1:
-        ext = _fresh_extension(h, ctx)
-        return FieldElem.generator(ext), ext, e
-    spread = [FieldElem.of(0, descriptor)] * (e * q + 1)
-    for i, c in enumerate(h):
-        spread[i * q] = c
-    _, facs = factor_univariate(spread, descriptor)
-    best = min((fac for fac, _ in facs), key=_sort_key_poly)
-    ext = _fresh_extension(best, ctx)
-    return FieldElem.generator(ext), ext, e
-
-
-def _fresh_extension(monic, ctx):
+            "branch needs a second field extension",
+            polynomial=[tuple(c.coefficients) for c in hq], descriptor=descriptor)
+    ext = _fresh_field(ctx["fresh"], min(facs, key=_sort_key_poly))
     ctx["fresh"] += 1
-    return _fresh_field(ctx["fresh"] - 1, monic)
+    return FieldElem.generator(ext), ext, len(h) - 1
 
 
 def _expand(f, budget, ctx):
@@ -256,7 +213,10 @@ def _expand(f, budget, ctx):
     Depth first, with an explicit stack instead of Python recursion: entry k
     holds the pending children of a node at depth k, and edge children are
     computed only when reached, so paths, fresh field names and errors come
-    in the order of a recursive depth-first walk.
+    in the order of a recursive depth-first walk.  A separated node's chain
+    of steps comes from one scan of its root (:func:`_root_terms`); when
+    the scan stops at a gap, the node past the terms found is pushed like
+    any child, and its own scan starts at the far side of the gap.
     """
     out = []
     stack = [iter([(f, budget, [], 1)])]
@@ -279,9 +239,16 @@ def _expand(f, budget, ctx):
         elif budget <= 0:
             out.append(_Path(steps, conj, False))
         elif (0, 1) in f.terms:
-            # separated: the walk below is one chain of at most room nodes
-            more, exact = _separated_steps(f, budget, _DEPTH_CAP + 1 - len(stack))
-            out.append(_Path(steps + more, conj, exact))
+            # separated: the walk below is one chain, read off one scan
+            terms, exact = _root_terms(f, budget, _DEPTH_CAP - len(steps))
+            more = [(1, e - prev, c) for prev, (e, c) in zip([0] + [e for e, _ in terms], terms)]
+            if exact is not None:
+                out.append(_Path(steps + more, conj, exact))
+                continue
+            # the scan ran out at a gap: walk past the terms found
+            for _, p, c in more:
+                f = _newton_step(f, 1, p, p, c)
+            stack.append(iter([(f, budget - terms[-1][0], steps + more, conj)]))
         else:
             stack.append(_edge_children(f, budget, steps, conj, ctx))
     return out
@@ -330,42 +297,16 @@ def _newton_step(f, q, p, d, c):
     return MultiPoly._make(f.variables, desc, {k: v for k, v in out.items() if v.nums})
 
 
-def _separated_steps(f, budget, room):
-    """The steps (1, p, c) the walk takes below the separated node f, and
-    whether its path ends exact.
+def _root_terms(f, budget, room):
+    """The terms (e, c) of the root phi of the separated f that the walk
+    strips, in order, and its exact flag.
 
     f is separated when it has the term a*y: its polygon is one edge of
     height 1 and stays so, and what is left of the branch is the root
     y = phi(x) of f with phi(0) = 0.  Each walk step strips the lowest
     term c x^e of phi; the walk stops exact when phi is used up, and
-    inexact after the first term with e >= budget.  These steps come from
-    a window of room + 1 of phi's coefficients instead (see
-    :func:`_root_terms`), enough to see the cap on a dense root.  When the
-    window runs out first, at a gap in phi, f moves past the terms found
-    and every later window is one coefficient wide: one walk step each, so
-    a sparse root costs what the walk costs.  Passing ``room`` steps is
-    the depth cap.
-    """
-    steps, width = [], room + 1
-    while True:
-        terms, exact = _root_terms(f, budget, room - len(steps), width)
-        width = 1
-        prev = 0
-        for e, c in terms:
-            steps.append((1, e - prev, c))
-            prev = e
-        if exact is not None:
-            return steps, exact
-        for _, p, c in steps[-len(terms):]:
-            f = _newton_step(f, 1, p, p, c)
-        if _divisible_by(f, 1):
-            return steps, True
-        budget -= prev
-
-
-def _root_terms(f, budget, room, width):
-    """The terms (e, c) of the root phi of the separated f that the walk
-    strips, in order, and its exact flag.
+    inexact after the first term with e >= budget.  Passing ``room``
+    terms is the depth cap.
 
     The coefficients of phi come one by one from f(x, phi) = 0: the one at
     x^m is a linear equation in phi_m over the lower ones, through the
@@ -373,8 +314,10 @@ def _root_terms(f, budget, room, width):
     first term with e >= budget, and otherwise at max(2 budget, D + 1),
     with D the x-degree of f: a polynomial root has degree at most D, so
     phi is then exact exactly when f(x, psi) = 0 for the terms psi found,
-    the remainder of f divided by y - psi.  At most ``width`` exponents
-    are scanned; when they run out before the scan ends, the flag is None.
+    the remainder of f divided by y - psi.  The scan covers room + 1
+    exponents from the order of f(x, 0), enough to see the cap on a dense
+    root; when they run out first, at a gap in phi, the flag is None and
+    the walk crosses the gap.
     """
     neg_inv = -f.terms[(0, 1)].inverse()
     rows, top = {}, 0
@@ -389,7 +332,7 @@ def _root_terms(f, budget, room, width):
     phi = {}
     powers = [{0: FieldElem.of(1, f.descriptor)}, phi] + [{} for _ in range(n - 1)]
     scan_end = max(2 * budget, top + 1)
-    end = min(scan_end, p + width)
+    end = min(scan_end, p + room + 1)
     for m in range(p, end):
         # phi^j has order j p; its x^m coefficient needs phi below x^m only
         for j in range(2, min(n, m // p) + 1):
@@ -538,10 +481,6 @@ def _times(a, b, cut):
                            {k: v for k, v in out.items() if v.nums})
 
 
-def _verify_on_curve(branch, f_local):
-    return _compose(f_local, branch, branch.precision).is_zero
-
-
 def branches(f, p, precision):
     """Branch representatives of the germ of V(f) at p, to order t^precision.
 
@@ -588,7 +527,7 @@ def _germ_branches(ft, precision, p, variables):
         for path in _expand(work, precision, ctx):
             out.append(_assemble(path, precision, p, variables))
     for b in out:
-        if not _verify_on_curve(b, ft):
+        if not _compose(ft, b, b.precision).is_zero:
             raise InsufficientPrecisionError(
                 "a computed parametrization fails to satisfy the equation",
                 suggested_precision=2 * precision)

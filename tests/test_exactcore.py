@@ -1,6 +1,7 @@
 """Exact arithmetic layer: field elements, polynomials, parsing, gcd, roots."""
 
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -494,6 +495,24 @@ def test_squarefree_at():
     assert not squarefree_at(f)
     assert squarefree_at(f, (Fraction(0), Fraction(0)))
     assert not squarefree_at(f, (Fraction(1), Fraction(0)))
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the pseudo-remainder scaled every zero entry")
+
+
+def test_squarefree_check_scales_only_nonzero_entries():
+    # the gcd's pseudo-remainders in y are dense lists of width about 3000
+    # with a few nonzero entries; scaling the zero entries too made this
+    # check quadratic in the width
+    f = P2("x*y - x^3000 - y^3000")
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(3)
+    try:
+        assert squarefree_at(f, (Fraction(0), Fraction(0)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dense_lists_stop_at_the_width_cap():

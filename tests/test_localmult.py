@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from folindex.exactcore import PreconditionError, divides
+from folindex.exactcore import NonReducedError, PreconditionError, divides
 from folindex.localmult import (
     INFINITE,
     curve_multiplicity,
@@ -110,6 +110,13 @@ def test_milnor_away_from_origin():
     assert milnor_number(f, (Fraction(2), Fraction(1))) == 0
     # the origin is not on the curve at all
     with pytest.raises(PreconditionError):
+        milnor_number(f, ORIGIN)
+
+
+def test_milnor_number_refuses_a_non_reduced_curve_as_branches_does():
+    # y^2 (x - y): the component y = 0 is doubled
+    f = P2("y^2*(x - y)")
+    with pytest.raises(NonReducedError):
         milnor_number(f, ORIGIN)
 
 

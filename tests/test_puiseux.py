@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from folindex import puiseux
 from folindex.exactcore import (
     QQ,
+    ExtensionRequiredError,
     FieldDescriptor,
     FieldElem,
     MultiPoly,
@@ -308,3 +309,51 @@ def test_separated_root_crosses_a_gap_without_scanning_it():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert [(p.steps, p.exact) for p in paths] == [([(1, 1, 1), (1, 99999999, 1)], True)]
+
+
+def _edge_walk(f, budget):
+    """The steps and exact flag of the walk below the separated f taken with
+    ``_edge_children`` alone: one polynomial transform per term of the root,
+    the reference the scan and its gap crossings must reproduce."""
+    steps = []
+    while not puiseux._divisible_by(f, 1):
+        if budget <= 0:
+            return steps, False
+        ((f, budget, steps, _),) = puiseux._edge_children(f, budget, steps, 1, {"fresh": 0})
+    return steps, True
+
+
+@pytest.mark.parametrize("curve, budget", [
+    # y = x / (1 - x^1500): gaps of 1500, each wider than the scan's window
+    ("y - x - x^1500*y", 5000),
+    # y^2 fills the root in behind each gap
+    ("y - x - x^1100*y - x^2200*y^2", 4000),
+    ("y - x - x^2 - x^1500*y", 1600),
+    ("y - x^3 - x^2000 - x^1100*y^2", 5000),
+    # one far term, reached past and short of the budget
+    ("y - x - x^1200", 3000),
+    ("y - x - x^1200", 1000),
+])
+def test_gaps_in_a_separated_root_are_crossed_as_the_walk_crosses_them(curve, budget):
+    f = P2(curve)
+    paths = puiseux._expand(f, budget, {"fresh": 0})
+    assert [(p.steps, p.exact) for p in paths] == [_edge_walk(f, budget)]
+
+
+@pytest.mark.parametrize("curve, polynomial", [
+    # a q-th root of r: c^2 - r and c^3 - r
+    ("y^2 - r*x^3", "c^2 - r"),
+    ("y^3 - r*x^2", "c^3 - r"),
+    # an edge solution: sqrt(3) is not in Q(sqrt(2))
+    ("y^2 - 3*x^2", "c^2 - 3"),
+])
+def test_a_second_extension_is_refused_with_the_polynomial_sought(curve, polynomial):
+    with pytest.raises(ExtensionRequiredError) as info:
+        branches(parse_poly(curve, V2, SQRT2), ORIGIN, 16)
+    err = info.value
+    want = parse_poly(polynomial, ("c",), SQRT2)
+    degree = max(k[0] for k in want.terms)
+    zero = FieldElem.of(0, SQRT2)
+    assert err.polynomial == [tuple(want.terms.get((i,), zero).coefficients)
+                              for i in range(degree + 1)]
+    assert err.descriptor == SQRT2
