@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactcore import NonReducedError, PreconditionError, squarefree_at, translate_to_origin
+from .exactcore import PreconditionError, translate_to_origin
 from .indices import _adaptive, _euler_obstruction_local, _LocalCurve, ph_index
-from .localmult import _milnor_of_reduced
 
 _ORIGIN = (0, 0)
 
@@ -44,7 +43,7 @@ class CurveRecord:
     mult: int
     mu: int
     branch_summary: tuple  # (parametrization order, conjugate count) per branch
-    # the germ at the origin, checked and expanded once, for the pairing
+    # the germ at the origin, with its Milnor number and expansions, for the pairing
     curve: _LocalCurve = field(compare=False, repr=False)
 
 
@@ -58,11 +57,9 @@ def _make_record(f, point):
     m = fl.order_at_origin()
     if m == 0:
         raise PreconditionError("curve does not pass through the basepoint")
-    if not squarefree_at(f, point):
-        raise NonReducedError("curve equation has a repeated factor through the basepoint")
-    # both checked above: the curve passes through the point and is reduced there
-    mu = _milnor_of_reduced(fl, _ORIGIN)
-    curve = _LocalCurve(fl, checked=True)
+    curve = _LocalCurve(fl)
+    # a finite Milnor number proves the curve reduced at the point
+    mu = curve.milnor()
     summary = _adaptive(
         curve, lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
     return CurveRecord(key=f.to_str(), poly=f, point=point,

@@ -212,7 +212,7 @@ class FieldDescriptor:
             raise PreconditionError("minimal polynomial must be monic")
         if len(coeffs) == 3:
             # a monic quadratic is reducible exactly when its discriminant is a square
-            reducible = _rational_sqrt(coeffs[1] ** 2 - 4 * coeffs[0]) is not None
+            reducible = _rational_root(coeffs[1] ** 2 - 4 * coeffs[0], 2) is not None
         else:
             from sympy import QQ as SQQ
             from sympy.polys.rings import ring
@@ -1295,12 +1295,29 @@ def factor_univariate(coeffs, descriptor):
                         for fac, mult in factors]
 
 
-def _rational_sqrt(q):
-    """The rational square root of ``q`` >= 0, or None when ``q`` is not a square."""
-    if q < 0:
+def _integer_root(n, q):
+    """The integer part of the q-th root of the integer n >= 0, by integer
+    Newton steps down from a power of two above it."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // q)
+    while True:
+        s = ((q - 1) * r + n // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
+
+
+def _rational_root(w, q):
+    """The largest rational q-th root of the rational ``w``, or None when
+    there is none: +r for even q, and for odd q the root with the sign of w."""
+    if w < 0 and q % 2 == 0:
         return None
-    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    return Fraction(n, d) if n * n == q.numerator and d * d == q.denominator else None
+    n, d = abs(w.numerator), w.denominator
+    a, b = _integer_root(n, q), _integer_root(d, q)
+    if a ** q != n or b ** q != d:
+        return None
+    return Fraction(a if w >= 0 else -a, b)
 
 
 def _factor_low_degree_qq(coeffs):
@@ -1315,7 +1332,7 @@ def _factor_low_degree_qq(coeffs):
     if len(monic) == 2:
         return [(monic, 1)]
     q, p, _ = monic
-    s = _rational_sqrt(p * p - 4 * q)
+    s = _rational_root(p * p - 4 * q, 2)
     if s is None:
         return [(monic, 1)]
     if s == 0:
@@ -1500,8 +1517,11 @@ def parse_poly(text, variables, descriptor=QQ):
     Grammar: integers, rationals p/q, declared variable names, the extension
     generator's name, operators + - * ^ and parentheses; ** is accepted as a
     synonym for ^, whitespace is insignificant and multiplication is always
-    explicit.
+    explicit.  Text nested past Python's recursion limit is a ParseError.
     """
     if not isinstance(text, str):
         raise ParseError("polynomial input must be a string")
-    return _Parser(_tokenize(text), variables, descriptor).parse()
+    try:
+        return _Parser(_tokenize(text), variables, descriptor).parse()
+    except RecursionError:
+        raise ParseError("polynomial text nests too deeply to read") from None

@@ -43,7 +43,6 @@ from .exactcore import (
     PreconditionError,
     _univariate_coeffs,
     divexact,
-    divides,
     gcd_bivariate,
     gcd_univariate,
     resultant,
@@ -51,7 +50,7 @@ from .exactcore import (
     substitute,
     univariate_roots,
 )
-from .indices import VectorFieldGerm
+from .indices import VectorFieldGerm, is_logarithmic
 
 _CHART_VARS = {1: ("u", "v"), 2: ("s", "w")}
 _KEPT = ((0, 1), (1, 2), (0, 2))    # exponents of (x, y, z) each chart keeps
@@ -278,12 +277,5 @@ def is_log_along(foliation, H):
 def _log_along_charts(foliation, chart_eqs):
     """:func:`is_log_along` on chart equations already built by
     :func:`divisor_in_charts`."""
-    for germ, h in zip(foliation.charts, chart_eqs):
-        if h.is_constant:
-            continue
-        a, b = germ.components
-        x, y = a.variables
-        vh = a * h.diff(x) + b * h.diff(y)
-        if not divides(h, vh):
-            return False
-    return True
+    return all(h.is_constant or is_logarithmic(germ, h)
+               for germ, h in zip(foliation.charts, chart_eqs))

@@ -5,10 +5,11 @@ with in one shared ambient coordinate system; the basepoint recorded on
 the germ is where everything is localized, and all colength and branch
 computations happen after translating that point to the origin.  Each
 germ and curve is localized once per computation: a curve becomes a
-``_LocalCurve`` that carries its reducedness proof and its branch
-expansions, so the Euler obstruction, the Milnor number and the
+``_LocalCurve`` that carries its Milnor number and its branch
+expansions, so the Euler obstruction, the GSV correction and the
 irreducibility test of one computation share them instead of
-translating, checking and expanding again.
+translating, checking and expanding again; the Milnor number, computed
+first, is the proof that the curve is reduced at the point.
 
 The computable surface is: the Poincare-Hopf index as a colength, the
 Euler obstruction pairing of the field with an invariant curve through
@@ -36,13 +37,8 @@ from .exactcore import (
     translate_to_origin,
     try_divide,
 )
-from .localmult import (
-    INFINITE,
-    _milnor_of_reduced,
-    curve_multiplicity,
-    intersection_multiplicity,
-)
-from .puiseux import InsufficientPrecisionError, _checked_germ, _germ_branches, nash_lift_order
+from .localmult import INFINITE, curve_multiplicity, intersection_multiplicity, milnor_number
+from .puiseux import InsufficientPrecisionError, _germ_branches, _polygon_edges, nash_lift_order
 
 _ORIGIN = (Fraction(0), Fraction(0))
 _DEFAULT_CAP = 512
@@ -115,22 +111,27 @@ def _localize_curve(v, f):
 class _LocalCurve:
     """A curve germ translated to the origin, for the length of one computation.
 
-    The checks of ``puiseux.branches`` (the curve passes through the
-    origin and is reduced there) run once, when branches are first asked
-    for, or never when ``checked`` says the caller has proved both.  Each
+    The Milnor number ``mu`` at the origin is computed at most once, and
+    before any expansion: a finite value proves the curve passes through
+    the origin and is reduced there, the checks ``puiseux.branches``
+    makes.  A curve built from another over a larger field passes its
+    ``mu`` on, since the colength does not depend on the field.  Each
     precision is expanded at most once, and one that failed to certify
     fails again without being expanded again.
     """
 
-    def __init__(self, poly, checked=False):
+    def __init__(self, poly, mu=None):
         self.poly = poly
-        self.checked = checked
+        self._mu = mu
         self._expansions = {}
 
+    def milnor(self):
+        if self._mu is None:
+            self._mu = milnor_number(self.poly, _ORIGIN)
+        return self._mu
+
     def branches(self, precision):
-        if not self.checked:
-            _checked_germ(self.poly, _ORIGIN)
-            self.checked = True
+        self.milnor()
         if precision not in self._expansions:
             try:
                 self._expansions[precision] = _germ_branches(
@@ -141,10 +142,6 @@ class _LocalCurve:
         if isinstance(found, InsufficientPrecisionError):
             raise found
         return found
-
-
-def _local_curve(v, f, checked=False):
-    return _LocalCurve(_localize_curve(v, f), checked)
 
 
 def _vanishes_at_origin(poly):
@@ -208,7 +205,7 @@ def euler_obstruction_field(v, f):
     test f | v(f) and the branchwise tangency test must agree, and either
     failing is an error.
     """
-    return _euler_obstruction_local(v, _local_curve(v, f))
+    return _euler_obstruction_local(v, _LocalCurve(_localize_curve(v, f)))
 
 
 def _euler_obstruction_local(v, curve):
@@ -217,7 +214,7 @@ def _euler_obstruction_local(v, curve):
         raise NonTangentError("field does not preserve the curve ideal: f does not divide v(f)")
     if fl is not curve.poly:
         # the field lives over a larger field, where the branches may split
-        curve = _LocalCurve(fl, curve.checked)
+        curve = _LocalCurve(fl, curve.milnor())
     pairs = _certified_branch_orders(v, curve)
     orders = tuple(o for _, o in pairs)
     conj = tuple(br.conjugacy_size for br, _ in pairs)
@@ -230,14 +227,12 @@ def _euler_obstruction_local(v, curve):
 
 def gsv_index(v, f):
     """Euler obstruction corrected by Milnor number and multiplicity."""
-    return _gsv(v, _local_curve(v, f))
+    return _gsv(v, _LocalCurve(_localize_curve(v, f)))
 
 
 def _gsv(v, curve):
     eu = _euler_obstruction_local(v, curve)
-    # the branch expansion has proved the curve passes through the origin
-    # and is reduced there
-    mu = _milnor_of_reduced(curve.poly, _ORIGIN)
+    mu = curve.milnor()
     m = curve_multiplicity(curve.poly, _ORIGIN)
     value = eu.value + 1 - mu - m
     return IndexReport("GSV", value, {
@@ -334,7 +329,7 @@ def _one_branch(bs):
 
 def mu_along_curve(v, curve):
     """Multiplicity of the field along an irreducible invariant curve germ."""
-    local = _local_curve(v, curve)
+    local = _LocalCurve(_localize_curve(v, curve))
     if not _adaptive(local, _one_branch):
         raise PreconditionError("curve germ is not irreducible")
     # the Euler obstruction starts from the branches just expanded
@@ -384,33 +379,14 @@ def chi_number(v, weighted_curves):
 def weighted_homogeneous_weights(f):
     """Positive coprime weights making f weighted homogeneous, or None.
 
-    Returns (w1, w2, total) with w1*i + w2*j = total on every term.
+    Returns (w1, w2, total) with w1*i + w2*j = total on every term: f
+    qualifies exactly when its Newton polygon is one edge holding every
+    term, and a monomial gets (1, 1, its degree).
     """
-    from math import gcd
-
-    pts = sorted({(k[0], k[1]) for k in f.terms})
-    if not pts:
-        return None
-    if len(pts) == 1:
-        i, j = pts[0]
-        return (1, 1, i + j)
-    base = pts[0]
-    diffs = [(i - base[0], j - base[1]) for i, j in pts[1:]]
-    di, dj = diffs[0]
-    # all difference vectors must be parallel, with slopes giving positive weights
-    for ei, ej in diffs[1:]:
-        if di * ej - dj * ei != 0:
-            return None
-    if di == 0 or dj == 0 or (di > 0) == (dj > 0):
-        return None
-    w1, w2 = abs(dj), abs(di)
-    g = gcd(w1, w2)
-    w1, w2 = w1 // g, w2 // g
-    total = w1 * base[0] + w2 * base[1]
-    for i, j in pts:
-        if w1 * i + w2 * j != total:
-            return None
-    return (w1, w2, total)
+    if len(f.terms) == 1:
+        return (1, 1, f.total_degree())
+    edges = _polygon_edges(f)
+    return edges[0][:3] if len(edges) == 1 and len(edges[0][3]) == len(f.terms) else None
 
 
 def auto_saito_basis(f, point=None):

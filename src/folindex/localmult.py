@@ -4,20 +4,20 @@ The central routine is an exact recursion on the defining equations that
 evaluates the colength of the ideal (f, g) in the local ring at a point.
 It is field-agnostic and independent of the series-expansion machinery,
 which lets the two act as oracles for each other in the test suite.
+A finite Milnor number is also the proof that a curve is reduced at a
+point, so the local indices run no separate square-free test.
 """
 
 from dataclasses import dataclass
 
 from .exactcore import (
     MultiPoly,
-    NonIsolatedError,
     NonReducedError,
     PreconditionError,
     ResourceCapError,
     translate_to_origin,
     gcd_bivariate,
     divexact,
-    squarefree_at,
     _Sentinel,
 )
 
@@ -120,29 +120,23 @@ def intersection_multiplicity(f, g, p):
 def milnor_number(f, p):
     """Colength of the Jacobian ideal of f at the point p on V(f).
 
-    Requires f reduced at p and 0 at p; 0 answers characterize smooth
-    points.  A non-isolated singularity is a structured error.
+    0 exactly at smooth points.  The colength is finite exactly when f is
+    reduced at p (Milnor 1968): a component through p shared by f_x and
+    f_y is one along which f is constant, hence zero, and singular, hence
+    repeated.  So an infinite colength raises NonReducedError, and a value
+    proves the curve passes through p and is reduced there.
     """
-    value = f.evaluate({v: c for v, c in zip(f.variables, p)})
-    if not value.is_zero:
-        raise PreconditionError("point is not on the curve")
-    if not squarefree_at(f, p):
-        raise NonReducedError("curve is not reduced at the point")
-    return _milnor_of_reduced(f, p)
-
-
-def _milnor_of_reduced(f, p):
-    """:func:`milnor_number` for a caller that has already proved f
-    vanishes and is reduced at p, so neither is checked again."""
-    x, y = f.variables
-    fx, fy = f.diff(x), f.diff(y)
     point = {v: c for v, c in zip(f.variables, p)}
-    if (not fx.is_zero and not fx.evaluate(point).is_zero) or \
-            (not fy.is_zero and not fy.evaluate(point).is_zero):
+    if not f.evaluate(point).is_zero:
+        raise PreconditionError("point is not on the curve")
+    fx, fy = (f.diff(v) for v in f.variables)
+    if any(not d.is_zero and not d.evaluate(point).is_zero for d in (fx, fy)):
         return 0
-    im = intersection_multiplicity(fx, fy, p)
-    if not im.is_finite:
-        raise NonIsolatedError("partial derivatives share a component through the point")
+    # a partial identically zero leaves f a function of one variable with a
+    # multiple root at p
+    im = None if fx.is_zero or fy.is_zero else intersection_multiplicity(fx, fy, p)
+    if im is None or not im.is_finite:
+        raise NonReducedError("curve is not reduced at the point")
     return im.value
 
 

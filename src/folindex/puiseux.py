@@ -51,6 +51,7 @@ from .exactcore import (
     _accumulate,
     _fresh_field,
     _join,
+    _rational_root,
     divexact,
     factor_univariate,
     squarefree_at,
@@ -188,8 +189,14 @@ def _edge_root_choices(h, q, descriptor, ctx):
     Returns (c, field of c, conjugacy multiplier).  The multiplier deg h is
     the number of conjugate edge solutions c stands for; the q-th-root
     ambiguity within one solution is a reparametrization, not a new
-    branch, and never multiplies.
+    branch, and never multiplies.  Over Q a linear h = c - w whose w has
+    a rational q-th root takes the largest one, the root factoring would
+    pick, without factoring.
     """
+    if q > 1 and len(h) == 2 and not descriptor.is_extension:
+        r = _rational_root((-h[0]).as_fraction(), q)   # h is monic
+        if r is not None:
+            return FieldElem.of(r, descriptor), descriptor, 1
     hq = [FieldElem.of(0, descriptor)] * ((len(h) - 1) * q + 1)
     hq[::q] = h
     facs = [h] if q == 1 else [fac for fac, _ in factor_univariate(hq, descriptor)[1]]

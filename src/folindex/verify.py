@@ -16,7 +16,9 @@ singularity (the flow-box argument makes that a consequence of
 logarithmicity at isolated divisor singularities, so a violation means
 inconsistent input), and each logarithmic index certifies its own Saito
 determinant unit.  The singular points of the foliation and of the
-divisor both come from the chart-ownership search of folindex.foliation.
+divisor both come from the chart-ownership search of folindex.foliation;
+each divisor singularity's germ is built once, and its Milnor number
+serves both the left-hand side and the GSV index there.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .exactcore import (
     PreconditionError,
     divexact,
     gcd_bivariate,
+    translate_to_origin,
 )
 from .foliation import (
     _chart_zeros,
@@ -46,8 +49,7 @@ from .foliation import (
     localize,
     singular_points,
 )
-from .indices import _gsv, _local_curve, _schwartz_of, auto_saito_basis, log_index, ph_index
-from .localmult import _milnor_of_reduced
+from .indices import _gsv, _LocalCurve, _schwartz_of, auto_saito_basis, log_index, ph_index
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,16 @@ def _local_divisor(chart_eqs, point):
     return chart_eqs[point.chart].lift(point.descriptor)
 
 
-def _divisor_gsv(v, chart_eqs, point):
-    """GSV index of the field at a point on the divisor.
+def _divisor_germ(chart_eqs, point):
+    return _LocalCurve(translate_to_origin(_local_divisor(chart_eqs, point), point.coordinates))
 
-    ``divisor_in_charts`` has proved every chart equation reduced (a
-    repeated factor of H shows in chart 0 or, when it is a power of the
-    infinity coordinate, in chart 1), and the point lies on the divisor,
-    so the branch expansion skips both checks.
-    """
-    return _gsv(v, _local_curve(v, _local_divisor(chart_eqs, point), checked=True))
+
+def _divisor_gsv(v, chart_eqs, point, dsing):
+    """GSV index of the field at a point on the divisor; at a divisor
+    singularity, matched by chart and coordinates, it reuses the germ of
+    ``_divisor_singularities`` and so its Milnor number."""
+    key = (point.chart, point.coordinates)
+    return _gsv(v, dsing[key][1] if key in dsing else _divisor_germ(chart_eqs, point))
 
 
 def _on_divisor(chart_eqs, point):
@@ -93,7 +96,8 @@ def _divisor_singular_at(chart_eqs, point):
 
 
 def _divisor_singularities(chart_eqs):
-    """(point, milnor number) per Galois orbit of divisor singularities."""
+    """{(chart, coordinates): (point, divisor germ)} per Galois orbit of
+    divisor singularities; a germ computes its Milnor number when asked."""
     h0, h1, h2 = chart_eqs
     a, b = (h0.diff(v) for v in h0.variables)
     g = gcd_bivariate(a, b)
@@ -103,10 +107,8 @@ def _divisor_singularities(chart_eqs):
         a, b = divexact(a, g), divexact(b, g)
     chart_polys = [(a, b, h0)] + [(h, *(h.diff(v) for v in h.variables))
                                   for h in (h1, h2)]
-    # each q is a zero of its chart equation, which divisor_in_charts has
-    # proved reduced (see _divisor_gsv)
-    return [(q, _milnor_of_reduced(_local_divisor(chart_eqs, q), q.coordinates))
-            for q in _chart_zeros(chart_polys)]
+    return {(q.chart, q.coordinates): (q, _divisor_germ(chart_eqs, q))
+            for q in _chart_zeros(chart_polys)}
 
 
 def _checked_divisor(foliation, H):
@@ -119,7 +121,7 @@ def _checked_divisor(foliation, H):
 
 def _checked_divisor_singularities(foliation, chart_eqs):
     dsing = _divisor_singularities(chart_eqs)
-    for q, _ in dsing:
+    for q, _ in dsing.values():
         if not _vanishes_at(foliation.charts[q.chart].components, q):
             raise PreconditionError(
                 f"divisor singularity at {q.projective_string()} is not a "
@@ -165,7 +167,7 @@ def verify_log_seh(foliation, H):
     chart_eqs = _checked_divisor(foliation, H)
     dsing = _checked_divisor_singularities(foliation, chart_eqs)
     k = _divisor_degree(H)
-    mus = tuple(mu for q, mu in dsing for _ in range(q.conjugacy_size))
+    mus = tuple(germ.milnor() for q, germ in dsing.values() for _ in range(q.conjugacy_size))
     d = foliation.degree
     lhs = twisted_index_sum(csm_complement(k, mus), 1 - d)
     per = []
@@ -219,7 +221,7 @@ def verify_isolated(foliation, H):
             per.append((name, "PH", w * ph))
             rhs_schwartz += w * ph
             continue
-        gsv = _divisor_gsv(v, chart_eqs, p)
+        gsv = _divisor_gsv(v, chart_eqs, p, dsing)
         rhs_schwartz += w * (ph - _schwartz_of(gsv).value)
         if _divisor_singular_at(chart_eqs, p):
             per.append((name, "PH", w * ph))
@@ -227,8 +229,8 @@ def verify_isolated(foliation, H):
         else:
             basis = _saito_basis_at(chart_eqs, p)
             per.append((name, "LOG", w * log_index(v, basis).value))
-    for q, mu in dsing:
-        mu_total += q.conjugacy_size * mu
+    for q, germ in dsing.values():
+        mu_total += q.conjugacy_size * germ.milnor()
     rhs_schwartz += mu_total
     rhs = sum(val for _, _, val in per)
     passed = lhs == rhs == rhs_schwartz
@@ -246,7 +248,7 @@ def verify_isolated(foliation, H):
 def verify_total_gsv(foliation, H):
     """Degree count k(2 + d - k) against the GSV indices on the divisor."""
     chart_eqs = _checked_divisor(foliation, H)
-    _checked_divisor_singularities(foliation, chart_eqs)
+    dsing = _checked_divisor_singularities(foliation, chart_eqs)
     k = _divisor_degree(H)
     d = foliation.degree
     lhs = k * (2 + d - k)
@@ -256,7 +258,7 @@ def verify_total_gsv(foliation, H):
             continue
         v = localize(foliation, p)
         per.append((p.projective_string(), "GSV",
-                    p.conjugacy_size * _divisor_gsv(v, chart_eqs, p).value))
+                    p.conjugacy_size * _divisor_gsv(v, chart_eqs, p, dsing).value))
     rhs = sum(val for _, _, val in per)
     return GlobalReport(
         "TOTAL_GSV", lhs, rhs, tuple(per), lhs == rhs,

@@ -21,7 +21,7 @@ from folindex import (
     ord_along_branch,
     parse_poly,
 )
-from folindex import exactcore, puiseux
+from folindex import exactcore, localmult, puiseux
 from folindex.puiseux import ZERO_UP_TO_TRUNCATION
 from folindex.exactcore import QQ, FieldElem
 from folindex.localmult import INFINITE
@@ -62,24 +62,29 @@ def p3():
 
 @pytest.fixture
 def localization_counts(monkeypatch):
-    """(checked, expanded): Counters of the reducedness checks per
-    (polynomial, point) and of the branch expansions per (polynomial,
-    precision) made by every folindex module while the test runs."""
+    """(checked, expanded): Counters of the reducedness proofs (square-free
+    tests and Milnor numbers) per (polynomial, point) and of the branch
+    expansions per (polynomial, precision) made by every folindex module
+    while the test runs."""
     checked, expanded = Counter(), Counter()
-    real_squarefree, real_expand = exactcore.squarefree_at, puiseux._expand
+    real_expand = puiseux._expand
 
-    def squarefree_at(f, point=None):
-        key = None if point is None else tuple(FieldElem.of(c) for c in point)
-        checked[(f, key)] += 1
-        return real_squarefree(f, point)
+    def counted(real):
+        def check(f, point=None):
+            key = None if point is None else tuple(FieldElem.of(c) for c in point)
+            checked[(f, key)] += 1
+            return real(f, point)
+        return check
 
     def expand(f, budget, ctx):
         expanded[(f, budget)] += 1
         return real_expand(f, budget, ctx)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("folindex") and getattr(module, "squarefree_at", None) is real_squarefree:
-            monkeypatch.setattr(module, "squarefree_at", squarefree_at)
+    for real in (exactcore.squarefree_at, localmult.milnor_number):
+        check = counted(real)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("folindex") and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, check)
     monkeypatch.setattr(puiseux, "_expand", expand)
     return checked, expanded
 
