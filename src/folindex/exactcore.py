@@ -1298,26 +1298,22 @@ def factor_univariate(coeffs, descriptor):
 def _integer_root(n, q):
     """The integer part of the q-th root of the integer n >= 0, by integer
     Newton steps down from a power of two above it."""
-    if n < 2:
-        return n
     r = 1 << -(-n.bit_length() // q)
-    while True:
+    while n > 1:
         s = ((q - 1) * r + n // r ** (q - 1)) // q
         if s >= r:
             return r
         r = s
+    return n
 
 
 def _rational_root(w, q):
     """The largest rational q-th root of the rational ``w``, or None when
     there is none: +r for even q, and for odd q the root with the sign of w."""
-    if w < 0 and q % 2 == 0:
+    r = Fraction(_integer_root(abs(w.numerator), q), _integer_root(w.denominator, q))
+    if (w < 0 and q % 2 == 0) or r ** q != abs(w):
         return None
-    n, d = abs(w.numerator), w.denominator
-    a, b = _integer_root(n, q), _integer_root(d, q)
-    if a ** q != n or b ** q != d:
-        return None
-    return Fraction(a if w >= 0 else -a, b)
+    return r if w >= 0 else -r
 
 
 def _factor_low_degree_qq(coeffs):

@@ -5,11 +5,10 @@ with in one shared ambient coordinate system; the basepoint recorded on
 the germ is where everything is localized, and all colength and branch
 computations happen after translating that point to the origin.  Each
 germ and curve is localized once per computation: a curve becomes a
-``_LocalCurve`` that carries its Milnor number and its branch
-expansions, so the Euler obstruction, the GSV correction and the
-irreducibility test of one computation share them instead of
-translating, checking and expanding again; the Milnor number, computed
-first, is the proof that the curve is reduced at the point.
+``_LocalCurve`` that carries its reducedness proof, its Milnor number
+and its branch expansions, so the Euler obstruction, the GSV correction
+and the irreducibility test of one computation share them instead of
+translating, checking and expanding again.
 
 The computable surface is: the Poincare-Hopf index as a colength, the
 Euler obstruction pairing of the field with an invariant curve through
@@ -38,7 +37,8 @@ from .exactcore import (
     try_divide,
 )
 from .localmult import INFINITE, curve_multiplicity, intersection_multiplicity, milnor_number
-from .puiseux import InsufficientPrecisionError, _germ_branches, _polygon_edges, nash_lift_order
+from .puiseux import (InsufficientPrecisionError, _checked_germ, _germ_branches,
+                      _polygon_edges, nash_lift_order)
 
 _ORIGIN = (Fraction(0), Fraction(0))
 _DEFAULT_CAP = 512
@@ -111,13 +111,12 @@ def _localize_curve(v, f):
 class _LocalCurve:
     """A curve germ translated to the origin, for the length of one computation.
 
-    The Milnor number ``mu`` at the origin is computed at most once, and
-    before any expansion: a finite value proves the curve passes through
-    the origin and is reduced there, the checks ``puiseux.branches``
-    makes.  A curve built from another over a larger field passes its
-    ``mu`` on, since the colength does not depend on the field.  Each
-    precision is expanded at most once, and one that failed to certify
-    fails again without being expanded again.
+    The first expansion needs a proof that the curve passes through the
+    origin and is reduced there: the Milnor number ``mu``, if computed
+    (at most once; it is finite exactly on reduced germs, and a lift to a
+    larger field keeps it), else the square-free test of
+    ``puiseux.branches``.  Each precision is expanded at most once, and
+    one that failed to certify fails again without being expanded again.
     """
 
     def __init__(self, poly, mu=None):
@@ -131,7 +130,8 @@ class _LocalCurve:
         return self._mu
 
     def branches(self, precision):
-        self.milnor()
+        if self._mu is None and not self._expansions:
+            _checked_germ(self.poly, _ORIGIN)
         if precision not in self._expansions:
             try:
                 self._expansions[precision] = _germ_branches(
@@ -192,12 +192,6 @@ def _adaptive(curve, work):
             prec = min(2 * prec, cap)
 
 
-def _certified_branch_orders(v, curve):
-    """(branch, lift order) pairs at adaptively chosen precision."""
-    a, b = v.components
-    return _adaptive(curve, lambda bs: [(br, nash_lift_order(br, (a, b))) for br in bs])
-
-
 def euler_obstruction_field(v, f):
     """Sum of Nash lift orders of the field over the branches of V(f).
 
@@ -209,13 +203,24 @@ def euler_obstruction_field(v, f):
 
 
 def _euler_obstruction_local(v, curve):
+    return _pairing(v, curve, _tangent_equation(v, curve))
+
+
+def _tangent_equation(v, curve):
+    """The curve's equation over the field of ``v``, once v preserves its ideal."""
     vf, fl = _derivation_applied(v, curve.poly)
     if try_divide(vf, fl) is None:
         raise NonTangentError("field does not preserve the curve ideal: f does not divide v(f)")
+    return fl
+
+
+def _pairing(v, curve, fl):
+    """Euler obstruction of ``v`` along ``curve``, whose equation over v's field is ``fl``."""
     if fl is not curve.poly:
         # the field lives over a larger field, where the branches may split
-        curve = _LocalCurve(fl, curve.milnor())
-    pairs = _certified_branch_orders(v, curve)
+        curve = _LocalCurve(fl, curve._mu)
+    a, b = v.components
+    pairs = _adaptive(curve, lambda bs: [(br, nash_lift_order(br, (a, b))) for br in bs])
     orders = tuple(o for _, o in pairs)
     conj = tuple(br.conjugacy_size for br, _ in pairs)
     value = sum(o * c for o, c in zip(orders, conj))
@@ -231,8 +236,10 @@ def gsv_index(v, f):
 
 
 def _gsv(v, curve):
-    eu = _euler_obstruction_local(v, curve)
+    fl = _tangent_equation(v, curve)
+    # mu before any expansion: it proves the curve reduced, so no gcd test runs
     mu = curve.milnor()
+    eu = _pairing(v, curve, fl)
     m = curve_multiplicity(curve.poly, _ORIGIN)
     value = eu.value + 1 - mu - m
     return IndexReport("GSV", value, {
@@ -330,6 +337,7 @@ def _one_branch(bs):
 def mu_along_curve(v, curve):
     """Multiplicity of the field along an irreducible invariant curve germ."""
     local = _LocalCurve(_localize_curve(v, curve))
+    local.milnor()   # the GSV index needs mu, which proves the curve reduced
     if not _adaptive(local, _one_branch):
         raise PreconditionError("curve germ is not irreducible")
     # the Euler obstruction starts from the branches just expanded

@@ -4,8 +4,6 @@ The central routine is an exact recursion on the defining equations that
 evaluates the colength of the ideal (f, g) in the local ring at a point.
 It is field-agnostic and independent of the series-expansion machinery,
 which lets the two act as oracles for each other in the test suite.
-A finite Milnor number is also the proof that a curve is reduced at a
-point, so the local indices run no separate square-free test.
 """
 
 from dataclasses import dataclass

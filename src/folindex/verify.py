@@ -79,9 +79,8 @@ def _divisor_germ(chart_eqs, point):
 
 
 def _divisor_gsv(v, chart_eqs, point, dsing):
-    """GSV index of the field at a point on the divisor; at a divisor
-    singularity, matched by chart and coordinates, it reuses the germ of
-    ``_divisor_singularities`` and so its Milnor number."""
+    """GSV index of the field at a point on the divisor, reusing the germ (and Milnor
+    number) of a divisor singularity, matched by chart and coordinates."""
     key = (point.chart, point.coordinates)
     return _gsv(v, dsing[key][1] if key in dsing else _divisor_germ(chart_eqs, point))
 
@@ -96,8 +95,7 @@ def _divisor_singular_at(chart_eqs, point):
 
 
 def _divisor_singularities(chart_eqs):
-    """{(chart, coordinates): (point, divisor germ)} per Galois orbit of
-    divisor singularities; a germ computes its Milnor number when asked."""
+    """{(chart, coordinates): (point, divisor germ)} per orbit of divisor singularities."""
     h0, h1, h2 = chart_eqs
     a, b = (h0.diff(v) for v in h0.variables)
     g = gcd_bivariate(a, b)

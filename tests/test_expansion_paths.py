@@ -1,18 +1,21 @@
 """Paths of the branch expansion that the corpus does not reach: precision
 doubling, truncations too short to certify, nodes divisible by y, and
-edge roots that are rational q-th roots."""
+edge roots that are rational q-th roots; and the reducedness proof an
+expansion starts from."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from folindex import exactcore, puiseux
+from folindex import exactcore, indices, puiseux
 from folindex.exactcore import QQ, FieldElem
 from folindex.indices import (
     VectorFieldGerm,
     _LocalCurve,
     euler_obstruction_field,
     gsv_index,
+    polar_intersection,
 )
 from folindex.puiseux import InsufficientPrecisionError, branches, nash_lift_order
 
@@ -55,6 +58,22 @@ def test_a_precision_that_failed_fails_again_without_expanding(localization_coun
             curve.branches(6)
     assert list(expanded.values()) == [1]
     assert len(curve.branches(8)) == 2
+
+
+@pytest.mark.parametrize("k", [18, 30])
+def test_euler_obstruction_proves_reducedness_without_a_milnor_number(k, monkeypatch):
+    # mu = 2k - 1 takes Fulton's recursion on (f_x, f_y) seconds at k = 18
+    # and more than 20 s at k = 30; the square-free test takes milliseconds
+    def no_milnor(f, p):
+        raise AssertionError("the Euler obstruction computed a Milnor number")
+
+    monkeypatch.setattr(indices, "milnor_number", no_milnor)
+    f = P2(f"(y - x^2 - y^2)*(y - x^2 - y^2 - x^{k})")
+    v = VectorFieldGerm(f.diff("y"), -f.diff("x"))
+    start = time.perf_counter()
+    assert euler_obstruction_field(v, f).value == 2 * k
+    assert polar_intersection(v, f).value == 2 * k
+    assert time.perf_counter() - start < 5
 
 
 def test_a_node_divisible_by_y_ends_an_exact_branch():
