@@ -58,8 +58,7 @@ def _make_record(f, point):
     if m == 0:
         raise PreconditionError("curve does not pass through the basepoint")
     curve = _LocalCurve(fl)
-    # a finite Milnor number proves the curve reduced at the point
-    mu = curve.milnor()
+    mu = curve.milnor()   # finite, so the curve is reduced at the point
     summary = _adaptive(
         curve, lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
     return CurveRecord(key=f.to_str(), poly=f, point=point,
