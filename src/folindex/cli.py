@@ -46,6 +46,7 @@ from .exactcore import (
     ParseError,
     PreconditionError,
     ResourceCapError,
+    _NAME,
     _univariate_coeffs,
     parse_poly,
 )
@@ -72,7 +73,7 @@ from .verify import (
 
 SCHEMA_VERSION = "1"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 
 # -- problem parsing ---------------------------------------------------------
@@ -107,10 +108,10 @@ def _load_document(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}")
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
+        raise ParseError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise ParseError(f"{path} nests too deeply to read")
     _check_keys(doc, "the problem file", ("variables",),
@@ -331,33 +332,10 @@ def _cmd_puiseux(args):
     return _payload(doc, "PUISEUX_BRANCHES", count, ingredients), 0
 
 
+# One term of a --expr text: [sign][coefficient[*]]head[argument].  The sign
+# is optional only on the first term.
 _TERM_RE = re.compile(
-    r"\s*(?:(\d+)\s*\*?\s*)?(1|Eu|Psi|Phi)\s*\[\s*(.*?)\s*\]\s*\Z", re.S)
-
-
-def _split_expr(expr):
-    terms, depth, cur, sign = [], 0, "", 1
-    for ch in expr:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets in expression")
-        elif depth == 0 and ch in "+-":
-            if cur.strip():
-                terms.append((sign, cur))
-            elif sign == -1 or terms:
-                raise ParseError("empty term in expression")
-            cur, sign = "", (1 if ch == "+" else -1)
-            continue
-        cur += ch
-    if depth != 0:
-        raise ParseError("unbalanced brackets in expression")
-    if not cur.strip():
-        raise ParseError("empty term in expression")
-    terms.append((sign, cur))
-    return terms
+    r"\s*([+-]?)\s*(?:([0-9]+)\s*\*?\s*)?(1|Eu|Psi|Phi)\s*\[\s*([^][]*?)\s*\]\s*")
 
 
 def _confun_atom(head, arg, variables, descriptor):
@@ -378,16 +356,21 @@ def _confun_atom(head, arg, variables, descriptor):
 
 
 def _parse_confun_expr(expr, variables, descriptor):
-    total = None
-    for sign, term in _split_expr(expr):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ParseError(f"cannot parse constructible term {term.strip()!r}")
-        coeff, head, arg = m.groups()
-        part = ((sign * int(coeff or 1))
-                * _confun_atom(head, arg, variables, descriptor))
-        total = part if total is None else total + part
-    return total
+    terms, pos = [], 0
+    # every term is read before any is built, so malformed text exits 1 even
+    # when an earlier term's curve would fail a precondition (exit 2)
+    while not terms or pos < len(expr):
+        m = _TERM_RE.match(expr, pos)
+        if not m or (terms and not m[1]):
+            raise ParseError(f"cannot parse constructible term at {expr[pos:].strip()!r}")
+        sign, coeff, head, arg = m.groups()
+        try:
+            terms.append((int(sign + (coeff or "1")), head, arg))
+        except ValueError:  # past the digit limit of int()
+            raise ParseError("coefficient too long to read") from None
+        pos = m.end()
+    return functools.reduce(lambda a, b: a + b, (
+        scale * _confun_atom(head, arg, variables, descriptor) for scale, head, arg in terms))
 
 
 def _cmd_confun(args):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-import string
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _add
@@ -130,6 +130,12 @@ class _Sentinel:
 # width 1201; the cap matches the 10^4 reduction steps the intersection-number
 # recursion allows, so the inputs that recursion reaches still answer.
 _DENSE_WIDTH_CAP = 10_000
+
+# Polynomial text expands p^n, for p of k >= 2 terms, only while its term
+# bound C(n + k - 1, k - 1) stays within this cap.  The corpus and the tests
+# need a bound of at most 6; (r*x + 1)^499 over Q(sqrt 2) parses in about a
+# second on 2 vCPUs.  The cap bounds terms, not the size of coefficients.
+_POWER_TERMS_CAP = 500
 
 
 def _dense_width(degree):
@@ -1142,20 +1148,19 @@ def _normalize_lead(p):
 def squarefree_at(f, point=None):
     """True when f has no repeated factor vanishing at the point.
 
-    With no point, plain square-freeness.  Two variables only: the repeated
-    part is gcd(f, df/dx, df/dy).
+    Two variables only.  With no point, plain square-freeness: gcd(f, f_x,
+    f_y) is constant.  At a point of V(f) one gcd decides: f has a repeated
+    factor through the point exactly when gcd(f_x, f_y) vanishes there, as
+    f is constant, hence zero, along a common component of f_x and f_y
+    through a point of V(f).  A point off V(f) is always True.
     """
     if len(f.variables) != 2:
         raise PreconditionError("squarefree_at expects two variables")
-    reps = f
-    for v in f.variables:
-        reps = gcd_bivariate(reps, f.diff(v))
-    if reps.is_constant:
-        return True
+    reps = gcd_bivariate(*(f.diff(v) for v in f.variables))
     if point is None:
-        return False
-    val = reps.evaluate({v: c for v, c in zip(f.variables, point)})
-    return not val.is_zero
+        return gcd_bivariate(f, reps).is_constant
+    at = {v: c for v, c in zip(f.variables, point)}
+    return not (reps.evaluate(at).is_zero and f.evaluate(at).is_zero)
 
 
 def resultant(f, g, var):
@@ -1382,55 +1387,25 @@ def univariate_roots(coeffs, descriptor):
 # Text grammar
 # ---------------------------------------------------------------------------
 
-_NAME_START = set(string.ascii_letters)
-_NAME_CONT = set(string.ascii_letters + string.digits + "_")
+# One token per match: an operator (``**`` is ``^``), an ASCII integer with
+# an optional /denominator, a name, or any other non-space character, which
+# is refused.  The CLI checks variable and generator names by the same rule.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"\s*(?:(\*\*|[-+*^()])|([0-9]+)(?:/([0-9]+))?|({_NAME})|(\S))")
 
 
 def _tokenize(text):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            if ch == "*" and i + 1 < n and text[i + 1] == "*":
-                tokens.append(("^", "^"))
-                i += 2
-                continue
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k < n and text[k].isdigit():
-                    end = k
-                    while end < n and text[end].isdigit():
-                        end += 1
-                    den = int(text[k:end])
-                    if den == 0:
-                        raise ParseError("zero denominator in rational literal")
-                    tokens.append(("num", Fraction(num, den)))
-                    i = end
-                    continue
-                raise ParseError("expected digits after '/' in rational literal")
-            tokens.append(("num", Fraction(num)))
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CONT:
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r} in polynomial text")
+    for op, num, den, name, other in _TOKEN_RE.findall(text):
+        if other:
+            raise ParseError(f"unexpected character {other!r} in polynomial text")
+        try:
+            tokens.append(("num", Fraction(int(num), int(den or 1))) if num
+                          else ("name", name) if name else ("^" if op == "**" else op, None))
+        except ZeroDivisionError:
+            raise ParseError("zero denominator in rational literal") from None
+        except ValueError:  # past the digit limit of int()
+            raise ParseError("integer literal too long to read") from None
     tokens.append(("end", None))
     return tokens
 
@@ -1478,13 +1453,19 @@ class _Parser:
         return p
 
     def factor(self):
+        if self.peek() == "-":
+            self.next()
+            return -self.factor()
         p = self.base()
         if self.peek() == "^":
             self.next()
             kind, val = self.next()
             if kind != "num" or val.denominator != 1 or val < 0:
                 raise ParseError("exponent must be a nonnegative integer")
-            p = p ** int(val)
+            n, k = int(val), len(p.terms)
+            if k > 1 and (n >= _POWER_TERMS_CAP or math.comb(n + k - 1, n) > _POWER_TERMS_CAP):
+                raise ResourceCapError(f"power {n} of a {k}-term polynomial exceeds the term cap {_POWER_TERMS_CAP}")
+            p = p ** n
         return p
 
     def base(self):
@@ -1502,18 +1483,19 @@ class _Parser:
             if self.descriptor.is_extension and val == self.descriptor.generator_name:
                 return MultiPoly.constant(FieldElem.generator(self.descriptor), self.variables, self.descriptor)
             raise ParseError(f"unknown identifier {val!r}")
-        if kind == "-":
-            return -self.base()
         raise ParseError("malformed polynomial expression")
 
 
 def parse_poly(text, variables, descriptor=QQ):
     """Parse polynomial text over the given variables and coefficient field.
 
-    Grammar: integers, rationals p/q, declared variable names, the extension
-    generator's name, operators + - * ^ and parentheses; ** is accepted as a
-    synonym for ^, whitespace is insignificant and multiplication is always
-    explicit.  Text nested past Python's recursion limit is a ParseError.
+    Grammar: ASCII integers and rationals p/q, names ``[A-Za-z_][A-Za-z0-9_]*``
+    (a declared variable or the extension generator), operators + - * ^ and
+    parentheses; ** is a synonym for ^, whitespace is insignificant and
+    multiplication is always explicit.  A minus sign binds looser than ^, so
+    x*-y^2 is -x*y^2.  Text nested past Python's recursion limit is a
+    ParseError; a power p^n whose term bound passes ``_POWER_TERMS_CAP`` is
+    a ResourceCapError.
     """
     if not isinstance(text, str):
         raise ParseError("polynomial input must be a string")

@@ -13,6 +13,7 @@ from .exactcore import (
     NonReducedError,
     PreconditionError,
     ResourceCapError,
+    squarefree_at,
     translate_to_origin,
     gcd_bivariate,
     divexact,
@@ -118,24 +119,21 @@ def intersection_multiplicity(f, g, p):
 def milnor_number(f, p):
     """Colength of the Jacobian ideal of f at the point p on V(f).
 
-    0 exactly at smooth points.  The colength is finite exactly when f is
-    reduced at p (Milnor 1968): a component through p shared by f_x and
-    f_y is one along which f is constant, hence zero, and singular, hence
-    repeated.  So an infinite colength raises NonReducedError, and a value
-    proves the curve passes through p and is reduced there.
+    0 exactly at smooth points.  At a singular point the one gcd of
+    ``squarefree_at`` proves f reduced there (else NonReducedError); then
+    f_x and f_y share no component through p (Milnor 1968), and Fulton's
+    recursion runs on them directly.  So a value proves the curve passes
+    through p and is reduced there.
     """
     point = {v: c for v, c in zip(f.variables, p)}
     if not f.evaluate(point).is_zero:
         raise PreconditionError("point is not on the curve")
     fx, fy = (f.diff(v) for v in f.variables)
-    if any(not d.is_zero and not d.evaluate(point).is_zero for d in (fx, fy)):
+    if any(not d.evaluate(point).is_zero for d in (fx, fy)):
         return 0
-    # a partial identically zero leaves f a function of one variable with a
-    # multiple root at p
-    im = None if fx.is_zero or fy.is_zero else intersection_multiplicity(fx, fy, p)
-    if im is None or not im.is_finite:
+    if not squarefree_at(f, p):
         raise NonReducedError("curve is not reduced at the point")
-    return im.value
+    return _fulton(*(translate_to_origin(d, p) for d in (fx, fy)), *f.variables)
 
 
 def curve_multiplicity(f, p):

@@ -1,5 +1,6 @@
-"""Command-line runs in a fresh process: deep polynomial text and the
-sympy-free path of a rational edge root."""
+"""Command-line runs in a fresh process: deep polynomial text, numbers
+int() cannot read, powers past the term cap and the sympy-free path of a
+rational edge root."""
 
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from test_cli import write_problem
+from test_cli import _cap_address_space, write_problem
 
 
 def _run(argv):
@@ -38,3 +39,37 @@ def test_puiseux_with_a_rational_edge_root_stays_sympy_free(tmp_path):
     proc = _run(["-c", check, "puiseux", "--input", write_problem(tmp_path, doc)])
     assert proc.returncode == 0, proc.stderr
     assert '"y": "t^7 + O(t^16)"' in proc.stdout
+
+
+LONG = "1" + "0" * 5000   # past the 4300 digits int() reads from text
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"variables": ["x", "y"], "germ": {"vector_field": ["%s*x", "y"]}}' % LONG, ["index", "--kind", "ph"]),
+    ('{"variables": ["x", "y"], "germ": {"vector_field": ["x\u00b2", "y"]}}', ["index", "--kind", "ph"]),
+    ('{"variables": [], "chern": {"kind": "plane", "twist": %s}}' % LONG, ["chern"]),
+    ('{"variables": ["x", "y"], "germ": {"vector_field": ["x", "y"], "divisor": "y^2 - x^3"}}',
+     ["confun", "--expr", LONG + "*Eu[y^2 - x^3]"]),
+], ids=["long-literal", "superscript-digit", "long-json-integer", "long-confun-coefficient"])
+def test_unreadable_number_is_exit_1(tmp_path, text, argv):
+    # str.isdigit() holds for x², whose digit int() cannot read
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    proc = _run(["-m", "folindex.cli", *argv, "--input", str(path)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("component, code, stderr", [
+    ("(x+1)^100000", 4, "error: power 100000 of a 2-term polynomial exceeds the term cap 500\n"),
+    ("x^100000000", 0, ""),
+], ids=["sum", "monomial"])
+def test_term_cap_stops_a_power_of_a_sum_not_a_monomial(tmp_path, component, code, stderr):
+    # (x+1)^100000 has 100001 terms; a monomial power has one at any exponent
+    doc = {"variables": ["x", "y"], "germ": {"vector_field": [component, "y"]}}
+    proc = subprocess.run([sys.executable, "-m", "folindex.cli", "index", "--kind", "ph",
+                           "--input", write_problem(tmp_path, doc)],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=20,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == stderr

@@ -311,6 +311,13 @@ def test_parse_round_trip(p):
 def test_parse_syntax():
     assert P2("x**2 - y") == P2("x^2 - y")
     assert P2("-(x - y)^2") == -(P2("x") - P2("y")) ** 2
+    # a minus sign binds looser than ^ after an operator too
+    assert P2("x*-y^2") == -P2("x*y^2")
+    assert P2("y^3+-x^2") == P2("y^3 - x^2")
+    assert P2("y--x^2") == P2("y + x^2")
+    assert P2("(-y)^2") == P2("y^2")
+    assert P2("--x") == P2("x")
+    assert P2("+-x") == -P2("x")
     with pytest.raises(ParseError):
         parse_poly("x + z", V2)
     with pytest.raises(ParseError):

@@ -27,6 +27,10 @@ THEOREMS = ["baum-bott", "seh", "iso", "total-gsv"]
 EXPRS = ["1[W]", "1[0]", "Eu[{f}]", "Psi[{f}]", "Phi[{f}]", "1[{f}]",
          "2*Eu[{f}] - 1[0]", "1[W] - Psi[{f}] + 3*Phi[{f}]", "Eu[", "-", "x"]
 MUTATION_CHARS = '{}[]",:^*()+-/0123456789 xyzrW'
+# inserted after a '*' of a polynomial: digits that str.isdigit() accepts but
+# int() cannot read or that are not ASCII, a run past the 4300 digits int()
+# reads, a power of a sum past the term cap, and a minus sign before a power
+MUTATION_SNIPPETS = ["-x^2*", "9" * 5000 + "*", "²", "(x + y)^100000*", "٣*", "-y^3*"]
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 ENTRIES = json.loads((CORPUS / "manifest.json").read_text())["entries"]
 
@@ -131,9 +135,13 @@ def problems(draw):
         text = json.dumps(doc)
     for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
         i = draw(st.integers(0, len(text)))
-        how = draw(st.sampled_from(["insert", "delete", "duplicate", "truncate"]))
+        how = draw(st.sampled_from(["insert", "delete", "duplicate", "truncate"] + ["snippet"] * 4))
         if how == "insert":
             text = text[:i] + draw(st.sampled_from(MUTATION_CHARS)) + text[i:]
+        elif how == "snippet":
+            stars = [j + 1 for j, ch in enumerate(text) if ch == "*"]
+            i = draw(st.sampled_from(stars)) if stars else i
+            text = text[:i] + draw(st.sampled_from(MUTATION_SNIPPETS)) + text[i:]
         elif how == "delete":
             text = text[:i] + text[i + 1:]
         elif how == "duplicate":

@@ -1,12 +1,13 @@
 """A finite Milnor number and the gcd test ``squarefree_at`` prove the
 same germs reduced.
 
-``milnor_number`` runs no square-free test: a component through the
-point shared by f_x and f_y is one along which f is constant, hence
-zero, and singular, hence repeated, so the colength is infinite exactly
-when the curve is not reduced there.  An index that needs mu takes it as
-the proof, and one that does not runs the gcd test, so the two must
-agree on every germ.
+``milnor_number`` takes the one gcd of ``squarefree_at`` as its proof
+before Fulton's recursion: a component through the point shared by f_x
+and f_y is one along which f is constant, hence zero, and singular,
+hence repeated, so the colength is infinite exactly when the curve is
+not reduced there.  An index that needs mu takes it as the proof, and
+one that does not runs the gcd test alone, so the two must agree on
+every germ.
 """
 
 import random
