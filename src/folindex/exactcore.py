@@ -8,8 +8,9 @@ and its sums, products and inverses run on Python integers: a product in
 Q(g) is an integer schoolbook product reduced by integer rows for the
 powers of g that the field precomputes.  On top of the scalars this module
 provides sparse multivariate polynomials, the elimination kernels
-(resultants, gcds, exact division), substitution and translation, which
-every other module consumes, plus the text grammar used by the CLI.
+(resultants, exact division and one ``gcd`` for any number of variables),
+substitution and translation, which every other module consumes, plus the
+text grammar used by the CLI.
 
 Extension fields are deliberately shallow: a computation that would need a
 second extension on top of an existing one fails with ExtensionRequiredError
@@ -119,9 +120,7 @@ class _Sentinel:
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers (coefficient lists, constant term first).  _poly_divmod
-# needs only + - * / and comparison with 0, so it divides lists of Fractions
-# and lists of FieldElems alike.
+# Dense coefficient lists (constant term first)
 # ---------------------------------------------------------------------------
 
 # A dense coefficient list is as long as the degree, however few the terms,
@@ -131,10 +130,12 @@ class _Sentinel:
 # recursion allows, so the inputs that recursion reaches still answer.
 _DENSE_WIDTH_CAP = 10_000
 
-# Polynomial text expands p^n, for p of k >= 2 terms, only while its term
-# bound C(n + k - 1, k - 1) stays within this cap.  The corpus and the tests
-# need a bound of at most 6; (r*x + 1)^499 over Q(sqrt 2) parses in about a
-# second on 2 vCPUs.  The cap bounds terms, not the size of coefficients.
+# Polynomial text expands p^n, for p of k terms, only while n and its term
+# bound C(n + k - 1, k - 1) stay below this cap, unless p is 0 or a monomial
+# with coefficient +-1, whose powers stay one small term.  The corpus and
+# the tests need a bound of at most 6; (r*x + 1)^499 over Q(sqrt 2) parses
+# in about a second on 2 vCPUs.  The cap bounds terms and exponents, not the
+# size of coefficients.
 _POWER_TERMS_CAP = 500
 
 
@@ -151,24 +152,6 @@ def _strip(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def _poly_divmod(a, b):
-    # b need not be monic; field division
-    r, b = _strip(a), _strip(b)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * max(0, len(r) - db)
-    while len(r) > db:
-        c = r.pop()
-        if c != 0:
-            c = c / lb
-            shift = len(r) - db
-            q[shift] = c
-            for i in range(db):
-                r[shift + i] -= c * b[i]
-    return _strip(q), _strip(r)
 
 
 def _exact(value):
@@ -704,7 +687,7 @@ class MultiPoly:
 
     @property
     def is_constant(self):
-        return all(all(e == 0 for e in k) for k in self.terms)
+        return not any(map(any, self.terms))
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -1038,127 +1021,107 @@ def _univariate_coeffs(p, var):
     return out
 
 
-def _is_unit(p):
-    return not p.is_zero and p.is_constant
+def _prem(a, b):
+    """The pseudo-remainder of the dense list ``a`` by ``b``: a times a power
+    of b's leading entry, less a multiple of b, shorter than b.  Entries need
+    only + - * and ``is_zero``, so FieldElem and MultiPoly lists both work.
 
-
-def gcd_univariate(f, g, var):
-    """Monic gcd of two polynomials involving only ``var``."""
-    if _is_unit(f) or _is_unit(g):
-        # no dense coefficient list: its length is the degree, not the terms
-        return MultiPoly.constant(1, f.variables, f.descriptor)
-    a, b = _univariate_coeffs(f, var), _univariate_coeffs(g, var)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    i = f.variables.index(var)
-    return MultiPoly(f.variables, f.descriptor, {(0,) * i + (e,) + (0,) * (len(f.variables) - i - 1): c / a[-1]
-                                                 for e, c in enumerate(a)})
-
-
-def _pseudo_rem(f, g, var):
-    # pseudo-remainder of f by g viewed in var; coeffs_in holds both lists,
-    # and so the df - dg + 1 rounds, within the dense-width cap
-    cf, cg = f.coeffs_in(var), g.coeffs_in(var)
-    df, dg = len(cf) - 1, len(cg) - 1
-    lg = cg[-1]
-    r = list(cf)
-    for _ in range(df - dg + 1):
-        if len(r) - 1 < dg or all(p.is_zero for p in r):
-            while r and r[-1].is_zero:
-                r.pop()
-            if len(r) - 1 < dg:
-                break
-        lead = r[-1]
-        r = [p * lg if p.terms else p for p in r[:-1]]
-        shift = len(r) - dg
-        for i in range(dg):
-            r[shift + i] = r[shift + i] - lead * cg[i]
-        while r and r[-1].is_zero:
-            r.pop()
-        if not r:
-            break
-    # every entry of r has var-degree 0, so the entry for var^e moves up to e
-    vi = f.variables.index(var)
-    return MultiPoly._make(f.variables, f.descriptor,
-                           {k[:vi] + (e,) + k[vi + 1:]: c
-                            for e, p in enumerate(r) for k, c in p.terms.items()})
-
-
-def _content_in(p, var, other):
-    # gcd of the `var`-coefficients, each a polynomial in `other` alone
-    coeffs = [c for c in p.coeffs_in(var) if not c.is_zero]
-    if any(c.is_constant for c in coeffs):
-        return MultiPoly.constant(1, p.variables, p.descriptor)
-    g = MultiPoly.zero(p.variables, p.descriptor)
-    for c in coeffs:
-        g = c if g.is_zero else gcd_univariate(g, c, other)
-        if g.is_constant:
-            return MultiPoly.constant(1, p.variables, p.descriptor)
-    return g
-
-
-def gcd_bivariate(f, g):
-    """Gcd of two polynomials in (the same) two variables, leading coefficient 1.
-
-    Runs a primitive pseudo-remainder sequence in the second variable with
-    univariate gcds for the contents; works over the rationals and over a
-    simple extension alike.
+    A round whose top entry is zero, or a leading entry 1, scales nothing;
+    a smaller power of that entry changes the remainder only by a factor
+    the primitive part drops.
     """
-    pair = f._pair(g)
-    f, g = pair
-    if f.is_zero:
-        return _normalize_lead(g)
-    if g.is_zero:
-        return _normalize_lead(f)
-    if len(f.variables) != 2:
-        raise PreconditionError("gcd_bivariate needs exactly two variables")
-    x, y = f.variables
-    dfy, dgy = f.degree_in(y), g.degree_in(y)
-    if dfy <= 0 and dgy <= 0:
-        return _normalize_lead(gcd_univariate(f, g, x))
-    if dfy <= 0:
-        return _normalize_lead(gcd_univariate(f, _content_in(g, y, x), x))
-    if dgy <= 0:
-        return _normalize_lead(gcd_univariate(g, _content_in(f, y, x), x))
-    cf, cg = _content_in(f, y, x), _content_in(g, y, x)
-    content_gcd = gcd_univariate(cf, cg, x)
-    a, b = divexact(f, cf), divexact(g, cg)
-    if a.degree_in(y) < b.degree_in(y):
+    r, d, lead = list(a), len(b) - 1, b[-1]
+    scale = lead != 1
+    while len(r) > d:
+        c = r.pop()
+        if c.is_zero:
+            continue
+        if scale:
+            r = [p * lead if not p.is_zero else p for p in r]
+        shift = len(r) - d
+        for i in range(d):
+            r[shift + i] = r[shift + i] - c * b[i]
+    while r and r[-1].is_zero:
+        r.pop()
+    return r
+
+
+def gcd(f, g):
+    """Gcd of two polynomials in one variable list, graded-lex leading
+    coefficient 1 (zero when both are zero).
+
+    Both are read in the last variable either involves.  When no other
+    variable appears, Euclid runs over the field on dense FieldElem lists
+    with a monic divisor.  Otherwise a primitive pseudo-remainder sequence
+    runs in that variable, and the contents (gcds of the coefficients) come
+    from ``gcd`` in the earlier variables (Knuth, TAOCP vol. 2, sec. 4.6.1).
+    """
+    f, g = f._pair(g)
+    if f.is_zero or g.is_zero:
+        return _normalize_lead(g if f.is_zero else f)
+    variables, desc = f.variables, f.descriptor
+    one = MultiPoly.constant(1, variables, desc)
+    if f.is_constant or g.is_constant:
+        # no dense coefficient list: its length is the degree, not the terms
+        return one
+    i = max(j for p in (f, g) for k in p.terms for j, e in enumerate(k) if e)
+    var = variables[i]
+    if not any(any(k[:i]) for p in (f, g) for k in p.terms):
+        a, b = _univariate_coeffs(f, var), _univariate_coeffs(g, var)
+        while b:
+            inv = b[-1].inverse()
+            b = [c * inv for c in b]
+            a, b = b, _prem(a, b)
+        zero = (0,) * len(variables)
+        return MultiPoly._make(variables, desc, {zero[:i] + (e,) + zero[i + 1:]: c
+                                                 for e, c in enumerate(a) if c.nums})
+
+    def primitive(coeffs):
+        # (content, coeffs / content); a constant coefficient makes it 1
+        nonzero = [c for c in coeffs if not c.is_zero]
+        if any(c.is_constant for c in nonzero):
+            return one, coeffs
+        content = functools.reduce(gcd, nonzero)
+        if content.is_constant:
+            return one, coeffs
+        return content, [one if c is content else divexact(c, content) for c in coeffs]
+
+    (cf, a), (cg, b) = primitive(f.coeffs_in(var)), primitive(g.coeffs_in(var))
+    if len(a) < len(b):
         a, b = b, a
-    while True:
-        r = _pseudo_rem(a, b, y)
-        if r.is_zero:
-            break
-        if r.degree_in(y) <= 0:
-            b = MultiPoly.constant(1, f.variables, f.descriptor)
-            break
-        r = divexact(r, _content_in(r, y, x))
-        a, b = b, r
-    pp = b if b.is_constant else divexact(b, _content_in(b, y, x))
-    return _normalize_lead(content_gcd * pp)
+    while r := _prem(a, b):
+        a, b = b, primitive(r)[1]
+    content = gcd(cf, cg)
+    if len(b) == 1:
+        return content          # a primitive part of degree 0 is a unit
+    # every entry of b has degree 0 in var, so the entry for var^e moves up to e
+    pp = MultiPoly._make(variables, desc, {k[:i] + (e,) + k[i + 1:]: c
+                                           for e, p in enumerate(b) for k, c in p.terms.items()})
+    return _normalize_lead(content * pp)
 
 
 def _normalize_lead(p):
-    if p.is_zero:
+    if p.is_zero or (lead := p.leading()[1]) == 1:
         return p
-    _, c = p.leading()
-    return p * c.inverse()
+    inv = lead.inverse()
+    return MultiPoly._make(p.variables, p.descriptor, {k: c * inv for k, c in p.terms.items()})
 
 
 def squarefree_at(f, point=None):
     """True when f has no repeated factor vanishing at the point.
 
-    Two variables only.  With no point, plain square-freeness: gcd(f, f_x,
-    f_y) is constant.  At a point of V(f) one gcd decides: f has a repeated
-    factor through the point exactly when gcd(f_x, f_y) vanishes there, as
-    f is constant, hence zero, along a common component of f_x and f_y
-    through a point of V(f).  A point off V(f) is always True.
+    Two variables only.  With no point, plain square-freeness:
+    ``gcd(f, gcd(f_x, f_y))`` is constant.  At a point of V(f) the one
+    ``gcd(f_x, f_y)`` decides: f has a repeated factor through the point
+    exactly when it vanishes there, as f is constant, hence zero, along a
+    common component of f_x and f_y through a point of V(f).  A point off
+    V(f) is always True.
     """
     if len(f.variables) != 2:
         raise PreconditionError("squarefree_at expects two variables")
-    reps = gcd_bivariate(*(f.diff(v) for v in f.variables))
+    reps = gcd(*(f.diff(v) for v in f.variables))
     if point is None:
-        return gcd_bivariate(f, reps).is_constant
+        return gcd(f, reps).is_constant
     at = {v: c for v, c in zip(f.variables, point)}
     return not (reps.evaluate(at).is_zero and f.evaluate(at).is_zero)
 
@@ -1463,7 +1426,8 @@ class _Parser:
             if kind != "num" or val.denominator != 1 or val < 0:
                 raise ParseError("exponent must be a nonnegative integer")
             n, k = int(val), len(p.terms)
-            if k > 1 and (n >= _POWER_TERMS_CAP or math.comb(n + k - 1, n) > _POWER_TERMS_CAP):
+            unit = k == 0 or k == 1 and next(iter(p.terms.values())) in (1, -1)
+            if not unit and (n >= _POWER_TERMS_CAP or math.comb(n + k - 1, n) > _POWER_TERMS_CAP):
                 raise ResourceCapError(f"power {n} of a {k}-term polynomial exceeds the term cap {_POWER_TERMS_CAP}")
             p = p ** n
         return p

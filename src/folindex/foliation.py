@@ -33,6 +33,7 @@ of extensions raise ExtensionRequiredError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .exactcore import (
@@ -43,8 +44,7 @@ from .exactcore import (
     PreconditionError,
     _univariate_coeffs,
     divexact,
-    gcd_bivariate,
-    gcd_univariate,
+    gcd,
     resultant,
     squarefree_at,
     substitute,
@@ -140,7 +140,7 @@ def from_affine(a, b):
         raise PreconditionError("foliations are defined over the rationals")
     if a.is_zero and b.is_zero:
         raise PreconditionError("the zero field defines no foliation")
-    g = gcd_bivariate(a, b)
+    g = gcd(a, b)
     if not g.is_constant:
         raise NotSaturatedError(
             f"components share the factor {g.to_str()}; divide it out first")
@@ -180,12 +180,7 @@ def _affine_points(A, B):
         xc = MultiPoly.constant(xr, (y,), desc)
         ay = substitute(al, {x: xc, y: yv})
         by = substitute(bl, {x: xc, y: yv})
-        if ay.is_zero:
-            g = by
-        elif by.is_zero:
-            g = ay
-        else:
-            g = gcd_univariate(ay, by, y)
+        g = gcd(ay, by)
         if g.is_constant:
             continue            # resultant root with no matching zero
         for yr, _, ydesc, cy in univariate_roots(_univariate_coeffs(g, y), desc):
@@ -199,8 +194,8 @@ def _chart_zeros(chart_polys):
 
     The search follows the ownership rule of the module docstring.  Chart
     0 eliminates its first two polynomials and the rest only filter;
-    chart 1 takes the gcd of its polynomials on the line v = 0; chart 2
-    tests its origin.  Points come in chart order, unsorted.
+    chart 1 takes the ``gcd`` of its polynomials on the line v = 0; chart
+    2 tests its origin.  Points come in chart order, unsorted.
     """
     first, second, *rest = chart_polys[0]
     points = [q for q in _affine_points(first, second) if _vanishes_at(rest, q)]
@@ -208,12 +203,9 @@ def _chart_zeros(chart_polys):
     slices = [MultiPoly((u,), p.descriptor,
                         {(i,): c for (i, j), c in p.terms.items() if j == 0})
               for p in chart_polys[1]]
-    slices = [p for p in slices if not p.is_zero]
-    if not slices:
+    g = functools.reduce(gcd, slices)
+    if g.is_zero:
         raise PreconditionError("chart field vanishes along the line at infinity")
-    g = slices[0]
-    for p in slices[1:]:
-        g = gcd_univariate(g, p, u)
     if not g.is_constant:
         for ur, _, desc, c in univariate_roots(_univariate_coeffs(g, u), QQ):
             points.append(SingularPoint(1, (ur, FieldElem.of(0, desc)), c))

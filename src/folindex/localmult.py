@@ -15,7 +15,7 @@ from .exactcore import (
     ResourceCapError,
     squarefree_at,
     translate_to_origin,
-    gcd_bivariate,
+    gcd,
     divexact,
     _Sentinel,
 )
@@ -108,7 +108,7 @@ def intersection_multiplicity(f, g, p):
     ft = translate_to_origin(f, p)
     gt = translate_to_origin(g, p)
     ft, gt = ft._pair(gt)
-    common = gcd_bivariate(ft, gt)
+    common = gcd(ft, gt)
     if not common.is_constant and _origin_value(common) is None:
         return LocalMultiplicity(INFINITE, "fulton-recursive")
     x, y = ft.variables
@@ -119,7 +119,7 @@ def intersection_multiplicity(f, g, p):
 def milnor_number(f, p):
     """Colength of the Jacobian ideal of f at the point p on V(f).
 
-    0 exactly at smooth points.  At a singular point the one gcd of
+    0 exactly at smooth points.  At a singular point the one ``gcd`` of
     ``squarefree_at`` proves f reduced there (else NonReducedError); then
     f_x and f_y share no component through p (Milnor 1968), and Fulton's
     recursion runs on them directly.  So a value proves the curve passes

@@ -38,7 +38,7 @@ from .exactcore import (
     NotLogarithmicError,
     PreconditionError,
     divexact,
-    gcd_bivariate,
+    gcd,
     translate_to_origin,
 )
 from .foliation import (
@@ -98,7 +98,7 @@ def _divisor_singularities(chart_eqs):
     """{(chart, coordinates): (point, divisor germ)} per orbit of divisor singularities."""
     h0, h1, h2 = chart_eqs
     a, b = (h0.diff(v) for v in h0.variables)
-    g = gcd_bivariate(a, b)
+    g = gcd(a, b)
     if not g.is_constant:
         # a shared partial factor cannot meet a reduced curve, so
         # removing it loses no curve singularities

@@ -422,7 +422,7 @@ def test_squarefree_check_costs_terms_not_degree(tmp_path, divisor):
 def test_dense_list_past_the_width_cap_is_exit_4(tmp_path, divisor):
     # no y-coefficient is a unit, so the square-free check needs a dense
     # list as long as a degree of 10^8 (in _univariate_coeffs, in the
-    # remainders of gcd_univariate, in coeffs_in): the width cap refuses it
+    # remainders of gcd, in coeffs_in): the width cap refuses it
     doc = {"variables": ["x", "y"],
            "germ": {"vector_field": ["x", "y"], "divisor": divisor}}
     proc = subprocess.run(

@@ -60,13 +60,24 @@ def test_unreadable_number_is_exit_1(tmp_path, text, argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-@pytest.mark.parametrize("component, code, stderr", [
-    ("(x+1)^100000", 4, "error: power 100000 of a 2-term polynomial exceeds the term cap 500\n"),
-    ("x^100000000", 0, ""),
-], ids=["sum", "monomial"])
-def test_term_cap_stops_a_power_of_a_sum_not_a_monomial(tmp_path, component, code, stderr):
-    # (x+1)^100000 has 100001 terms; a monomial power has one at any exponent
+SQRT2 = {"generator": "r", "minpoly": "r^2 - 2"}
+
+
+@pytest.mark.parametrize("component, code, stderr, field", [
+    ("(x+1)^100000", 4, "error: power 100000 of a 2-term polynomial exceeds the term cap 500\n", None),
+    ("x^100000000", 0, "", None),
+    ("3^100000000*x", 4, "error: power 100000000 of a 1-term polynomial exceeds the term cap 500\n", None),
+    ("(r+1)^10000000*x", 4, "error: power 10000000 of a 1-term polynomial exceeds the term cap 500\n",
+     SQRT2),
+    ("(-x)^100000001", 0, "", None),
+    ("0^100000001*x + x", 0, "", None),
+], ids=["sum", "monomial", "integer-power", "sqrt2-power", "negated-monomial", "zero-power"])
+def test_term_cap_stops_a_power_of_a_sum_not_a_monomial(tmp_path, component, code, stderr, field):
+    # (x+1)^100000 has 100001 terms; a monomial power has one at any
+    # exponent, but only a coefficient of 0 or +-1 keeps that term small
     doc = {"variables": ["x", "y"], "germ": {"vector_field": [component, "y"]}}
+    if field:
+        doc["field"] = field
     proc = subprocess.run([sys.executable, "-m", "folindex.cli", "index", "--kind", "ph",
                            "--input", write_problem(tmp_path, doc)],
                           env=subprocess_env(), capture_output=True, text=True, timeout=20,

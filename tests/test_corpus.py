@@ -65,3 +65,20 @@ def test_cold_run_stays_sympy_free(name):
          "--input", str(CORPUS / entry["problem"])],
         env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_process_replays_every_sympy_free_entry_without_sympy():
+    # every cold run but jouanolou.baum-bott (a degree-7 factorization over Q)
+    # stays off sympy; one child process replays them all, so a sympy import
+    # by any of them is still in sys.modules at the end
+    runs = [list(e["argv"]) + ["--input", str(CORPUS / e["problem"])]
+            for e in ENTRIES if e["name"] != "jouanolou.baum-bott"]
+    check = ("import json, sys\n"
+             "from folindex.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    assert main(argv) == 0, argv\n"
+             "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", check, json.dumps(runs)],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert len(runs) == len(ENTRIES) - 1
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from folindex.exactcore import (
     QQ,
@@ -20,8 +20,7 @@ from folindex.exactcore import (
     divexact,
     divides,
     factor_univariate,
-    gcd_bivariate,
-    gcd_univariate,
+    gcd,
     parse_poly,
     resultant,
     squarefree_at,
@@ -31,7 +30,6 @@ from folindex.exactcore import (
     univariate_roots,
     _DENSE_WIDTH_CAP,
     _join,
-    _poly_divmod,
     _resultant_sympy,
     _sympy_ring,
     _univariate_coeffs,
@@ -421,20 +419,62 @@ def test_try_divide_quotient_order_and_refusals(desc):
 def test_gcd_bivariate():
     f = P2("x^2 - y^2")
     g = P2("x^2 + 2*x*y + y^2")
-    d = gcd_bivariate(f, g)
+    d = gcd(f, g)
     assert d.total_degree() == 1
     assert divides(d, f) and divides(d, g)
-    assert gcd_bivariate(P2("x"), P2("y")).is_constant
+    assert gcd(P2("x"), P2("y")).is_constant
 
 
 def test_gcd_univariate():
     # single-variable gcd inside the two-variable ring
     f = P2("(y - 1)^2 * (y + 2)")
     g = P2("(y - 1) * y")
-    d = gcd_univariate(f, g, "y")
+    d = gcd(f, g)
     assert d.total_degree() == 1
     assert divides(d, f) and divides(d, g)
-    assert gcd_univariate(P2("y + 1"), P2("y - 1"), "y").is_constant
+    assert gcd(P2("y + 1"), P2("y - 1")).is_constant
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# (exponents, (a, b)) for the term (a + b*r) x^i y^j; b is dropped over Q
+term_lists = st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                st.tuples(small, small)), max_size=4)
+
+
+def _poly_from_terms(terms, variables, desc):
+    p = MultiPoly.zero(variables, desc)
+    for exps, (a, b) in terms:
+        c = FieldElem(desc, [a, b]) if desc.is_extension else FieldElem.of(a)
+        p = p + MultiPoly(variables, desc, {exps[:len(variables)]: c})
+    return p
+
+
+ZERO, ONE, X = [], [((0, 0), (1, 0))], [((1, 0), (1, 0))]
+
+
+@settings(max_examples=150, deadline=None, print_blob=True)
+@given(st.sampled_from([QQ, SQRT2]), st.sampled_from([("x",), V2]),
+       term_lists, term_lists, term_lists)
+@example(QQ, V2, ZERO, X, X)                      # a zero side
+@example(SQRT2, V2, ZERO, ZERO, X)                # two zeros
+@example(QQ, ("x",), ZERO, ZERO, ONE)             # two zeros in one variable
+@example(SQRT2, V2, ONE, [((2, 1), (0, 1))], X)   # a constant side
+@example(QQ, V2, [((0, 2), (1, 0))], [((3, 0), (1, 0))], ONE)   # a side free of y
+def test_gcd_matches_the_sympy_gcd(desc, variables, f, g, h):
+    # sympy's sparse ring is an independent gcd; it makes the result monic in
+    # lex order and folindex in graded-lex order, so they agree up to a constant
+    f, g, h = (_poly_from_terms(t, variables, desc) for t in (f, g, h))
+    F, G = f * h, g * h
+    d = gcd(F, G)
+    R, to_sympy, from_sympy = _sympy_ring(desc, f"_v:{len(variables)}")
+    s = R.from_dict({k: to_sympy(c) for k, c in F.terms.items()}).gcd(
+        R.from_dict({k: to_sympy(c) for k, c in G.terms.items()}))
+    expected = MultiPoly(variables, desc, {k: from_sympy(c) for k, c in s.items()})
+    if expected.is_zero:
+        assert d.is_zero
+    else:
+        assert d.leading()[1] == 1
+        assert d * expected.leading()[1] == expected
 
 
 def test_resultant():
@@ -532,7 +572,7 @@ def test_dense_lists_stop_at_the_width_cap():
     with pytest.raises(ResourceCapError):
         over.coeffs_in("x")
     with pytest.raises(ResourceCapError):
-        gcd_bivariate(over * P2("y"), P2(f"x^{top + 1}*y^2 + x"))
+        gcd(over * P2("y"), P2(f"x^{top + 1}*y^2 + x"))
 
 
 # ------------------------------------------------ invariants of every result
@@ -627,6 +667,20 @@ DIFFERENTIAL_FIELDS = [
     FieldDescriptor.simple_extension("f", [1, -3, 0, 0, 0, 0, 0, 1]),
 ]
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=15)
+
+
+def _poly_divmod(a, b):
+    # long division of Fraction lists (constant term first), b's top entry nonzero
+    r, q = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(r) >= len(b):
+        c = r.pop() / b[-1]
+        shift = len(r) - len(b) + 1
+        q[shift] = c
+        for i in range(len(b) - 1):
+            r[shift + i] -= c * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
 def _ref_reduce(coeffs, desc):

@@ -30,7 +30,8 @@ MUTATION_CHARS = '{}[]",:^*()+-/0123456789 xyzrW'
 # inserted after a '*' of a polynomial: digits that str.isdigit() accepts but
 # int() cannot read or that are not ASCII, a run past the 4300 digits int()
 # reads, a power of a sum past the term cap, and a minus sign before a power
-MUTATION_SNIPPETS = ["-x^2*", "9" * 5000 + "*", "²", "(x + y)^100000*", "٣*", "-y^3*"]
+MUTATION_SNIPPETS = ["-x^2*", "9" * 5000 + "*", "²", "(x + y)^100000*", "٣*", "-y^3*",
+                     "3^100000000*"]
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 ENTRIES = json.loads((CORPUS / "manifest.json").read_text())["entries"]
 
