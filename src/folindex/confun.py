@@ -1,13 +1,15 @@
 """Constructible functions on a plane germ and their index pairing.
 
-Every function in scope is supported on the ambient surface germ, on
-finitely many reduced curve germs through the basepoint, and on the
-basepoint itself.  Such a function is stored by its coordinates in the
+The germ sits at the origin: curve equations and vector fields come
+already translated there (``translate_to_origin`` moves a germ from any
+other point).  Every function in scope is supported on the ambient
+surface germ, on finitely many reduced curve germs through the origin,
+and on the origin itself.  Such a function is stored by its coordinates in the
 basis
 
     1[W]      the ambient germ (its Euler obstruction is 1),
     Eu[C]     the Euler obstruction of a tracked curve germ C,
-    1[0]      the basepoint.
+    1[0]      the origin.
 
 Two facts make this basis convenient.  A curve germ of multiplicity m
 satisfies 1_C = Eu_C - (m - 1) 1_0, so indicator functions convert to
@@ -15,7 +17,7 @@ the stored basis by an integer shift of the point coefficient.  And the
 characteristic cycle of the Euler obstruction of a subvariety is plus or
 minus a single conormal cycle, so :func:`cc` is sign bookkeeping.
 
-Pairing a function with a vector field germ vanishing at the basepoint
+Pairing a function with a vector field germ vanishing at the origin
 evaluates the ambient coefficient against the Poincare-Hopf index, each
 curve coefficient against the branchwise Nash-lift order sum over that
 curve, and the point coefficient against 1.  The local index formulas
@@ -27,10 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactcore import PreconditionError, translate_to_origin
+from .exactcore import PreconditionError
 from .indices import _adaptive, _euler_obstruction_local, _LocalCurve, ph_index
-
-_ORIGIN = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -38,31 +38,26 @@ class CurveRecord:
     """One reduced curve germ tracked by a constructible function."""
 
     key: str
-    poly: object          # defining equation as given, ambient coordinates
-    point: tuple
     mult: int
     mu: int
     branch_summary: tuple  # (parametrization order, conjugate count) per branch
-    # the germ at the origin, with its Milnor number and expansions, for the pairing
+    # the germ with its Milnor number and expansions, for the pairing
     curve: _LocalCurve = field(compare=False, repr=False)
 
 
-def _make_record(f, point):
+def _make_record(f):
     if f.is_zero or f.is_constant:
         raise PreconditionError("a curve germ needs a nonconstant equation")
     if len(f.variables) != 2:
         raise PreconditionError("curve germs live in exactly two variables")
-    point = tuple(point)
-    fl = translate_to_origin(f, point)
-    m = fl.order_at_origin()
+    m = f.order_at_origin()
     if m == 0:
         raise PreconditionError("curve does not pass through the basepoint")
-    curve = _LocalCurve(fl)
-    mu = curve.milnor()   # finite, so the curve is reduced at the point
+    curve = _LocalCurve(f)
+    mu = curve.milnor()   # its gcd test proves the curve reduced at the origin
     summary = _adaptive(
         curve, lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
-    return CurveRecord(key=f.to_str(), poly=f, point=point,
-                       mult=m, mu=mu, branch_summary=summary, curve=curve)
+    return CurveRecord(key=f.to_str(), mult=m, mu=mu, branch_summary=summary, curve=curve)
 
 
 def _merged_registry(r1, r2):
@@ -138,7 +133,7 @@ class ConstructibleFn:
     # -- evaluation (for tests and reports) ----------------------------------
 
     def value_at_origin(self):
-        """Value at the basepoint, where Eu[C] takes the multiplicity of C."""
+        """Value at the origin, where Eu[C] takes the multiplicity of C."""
         curves = sum(c * self.registry[k].mult for k, c in self.curve_terms)
         return self.ambient_coeff + curves + self.point_coeff
 
@@ -192,40 +187,40 @@ class LagrangianCycle:
 
 # -- constructors -----------------------------------------------------------
 
-def indicator_curve(f, point=None):
+def indicator_curve(f):
     """Indicator function of the reduced curve V(f) in the stored basis.
 
     The result is Eu[C] - (m - 1)*1[0] for the multiplicity m of the germ
-    at the point, so it evaluates to 1 on the curve and 0 elsewhere.  A
+    at the origin, so it evaluates to 1 on the curve and 0 elsewhere.  A
     reducible equation is kept as a single record.
     """
-    rec = _make_record(f, _ORIGIN if point is None else point)
+    rec = _make_record(f)
     return ConstructibleFn(0, ((rec.key, 1),), -(rec.mult - 1), {rec.key: rec})
 
 
-def nearby_cycles(f, point=None):
+def nearby_cycles(f):
     """Euler characteristic function of the local Milnor fibers of f.
 
-    Stored as Eu[C] - (m - 1 + mu)*1[0]; the value at the basepoint is
+    Stored as Eu[C] - (m - 1 + mu)*1[0]; the value at the origin is
     1 - mu and the value at a nearby curve point is 1.  Requires f
     reduced with an isolated singularity.
     """
-    rec = _make_record(f, _ORIGIN if point is None else point)
+    rec = _make_record(f)
     return ConstructibleFn(0, ((rec.key, 1),),
                            -(rec.mult - 1 + rec.mu), {rec.key: rec})
 
 
-def vanishing_cycles(f, point=None):
+def vanishing_cycles(f):
     """Difference of the nearby cycles and the curve indicator: -mu*1[0]."""
-    rec = _make_record(f, _ORIGIN if point is None else point)
+    rec = _make_record(f)
     return ConstructibleFn(0, (), -rec.mu, {})
 
 
-def complement_of_divisor(curves, point=None):
+def complement_of_divisor(curves):
     """Indicator of the complement of a weighted divisor, in the basis.
 
     ``curves`` lists (equation, weight) with positive integer weights and
-    equations that are irreducible germs at the point, pairwise distinct.
+    equations that are irreducible germs at the origin, pairwise distinct.
     Writing B = sum a_i C_i and deg B = sum a_i, the result is
 
         1[W] - sum a_i 1[C_i] + (deg B - 1) 1[0]
@@ -233,7 +228,6 @@ def complement_of_divisor(curves, point=None):
     expanded over the Euler-obstruction basis.  The empty divisor is
     rejected: the defining shift deg B - 1 has no sensible value there.
     """
-    point = _ORIGIN if point is None else point
     if not curves:
         raise PreconditionError("the divisor must have at least one component")
     terms = {}
@@ -243,7 +237,7 @@ def complement_of_divisor(curves, point=None):
     for f, a in curves:
         if not isinstance(a, int) or a < 1:
             raise PreconditionError("component weights must be positive integers")
-        rec = _make_record(f, point)
+        rec = _make_record(f)
         if rec.key in registry:
             raise PreconditionError("divisor components must be pairwise distinct")
         if len(rec.branch_summary) != 1 or rec.branch_summary[0][1] != 1:
@@ -270,10 +264,7 @@ def index_pairing(gamma, v):
     """
     total = gamma.point_coeff
     for key, c in gamma.curve_terms:
-        rec = gamma.registry[key]
-        if rec.point != tuple(v.basepoint):
-            raise PreconditionError("curve and field live at different basepoints")
-        total += c * _euler_obstruction_local(v, rec.curve).value
+        total += c * _euler_obstruction_local(v, gamma.registry[key].curve).value
     if gamma.ambient_coeff:
         total += gamma.ambient_coeff * ph_index(v).value
     return total

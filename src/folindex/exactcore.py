@@ -134,9 +134,17 @@ _DENSE_WIDTH_CAP = 10_000
 # bound C(n + k - 1, k - 1) stay below this cap, unless p is 0 or a monomial
 # with coefficient +-1, whose powers stay one small term.  The corpus and
 # the tests need a bound of at most 6; (r*x + 1)^499 over Q(sqrt 2) parses
-# in about a second on 2 vCPUs.  The cap bounds terms and exponents, not the
-# size of coefficients.
+# in about a second on 2 vCPUs.
 _POWER_TERMS_CAP = 500
+
+# The same powers are held to _POWER_BITS_CAP bits by n*h (_power_bits), a
+# bound on the size of the coefficients of p^n: every coordinate of every
+# coefficient is a fraction whose numerator and denominator multiply to at
+# most 2^(n*h).  The corpus raises no sum to a power and the tests need
+# n*h = 998, for (r*x + 1)^499 over Q(sqrt 2); (15*x + 1)^499, at n*h =
+# 1996, parses in about a second on 2 vCPUs, and (12345*x + 67891)^499
+# (n*h = 8130, coefficients of 8,126 bits) is refused before any expansion.
+_POWER_BITS_CAP = 2000
 
 
 def _dense_width(degree):
@@ -1373,6 +1381,27 @@ def _tokenize(text):
     return tokens
 
 
+def _power_bits(p, n):
+    """n*h, with 2^(n*h) a bound on the coefficient size of p^n (p nonzero).
+
+    With D the common denominator of p's coordinates and |P| the l1 norm of
+    the integer coordinates of P = D*p, h = log2(|P|*D): the coordinates of
+    P^n have l1 norm at most |P|^n.  Over a field of degree d, P^n reaches
+    the generator power n*(d - 1), which the reduction rows bring down at a
+    factor of at most lam = max(rden, |row 0|) in the numerator and rden in
+    the denominator per power past d - 1, so h gains (d - 1)*log2(lam*rden).
+    """
+    den = math.lcm(*(c.den for c in p.terms.values()))
+    norm = sum(abs(m) * (den // c.den) for c in p.terms.values() for m in c.nums)
+    h = math.log2(norm * den)
+    desc = p.descriptor
+    if desc.is_extension:
+        rden = desc.reduction_den
+        lam = max(rden, sum(map(abs, desc.reduction_rows[0])))
+        h += (desc.degree - 1) * math.log2(lam * rden)
+    return n * h
+
+
 class _Parser:
     def __init__(self, tokens, variables, descriptor):
         self.tokens = tokens
@@ -1429,6 +1458,9 @@ class _Parser:
             unit = k == 0 or k == 1 and next(iter(p.terms.values())) in (1, -1)
             if not unit and (n >= _POWER_TERMS_CAP or math.comb(n + k - 1, n) > _POWER_TERMS_CAP):
                 raise ResourceCapError(f"power {n} of a {k}-term polynomial exceeds the term cap {_POWER_TERMS_CAP}")
+            if not unit and _power_bits(p, n) > _POWER_BITS_CAP:
+                raise ResourceCapError(
+                    f"power {n} of a {k}-term polynomial exceeds the coefficient cap {_POWER_BITS_CAP} bits")
             p = p ** n
         return p
 
@@ -1458,8 +1490,8 @@ def parse_poly(text, variables, descriptor=QQ):
     parentheses; ** is a synonym for ^, whitespace is insignificant and
     multiplication is always explicit.  A minus sign binds looser than ^, so
     x*-y^2 is -x*y^2.  Text nested past Python's recursion limit is a
-    ParseError; a power p^n whose term bound passes ``_POWER_TERMS_CAP`` is
-    a ResourceCapError.
+    ParseError; a power p^n whose term bound passes ``_POWER_TERMS_CAP``, or
+    whose coefficient bound passes ``_POWER_BITS_CAP``, is a ResourceCapError.
     """
     if not isinstance(text, str):
         raise ParseError("polynomial input must be a string")

@@ -48,6 +48,7 @@ from .exactcore import (
     resultant,
     squarefree_at,
     substitute,
+    translate_to_origin,
     univariate_roots,
 )
 from .indices import VectorFieldGerm, is_logarithmic
@@ -69,7 +70,6 @@ class SingularPoint:
     chart: int
     coordinates: tuple
     conjugacy_size: int
-    on_divisor: object = None
 
     @property
     def descriptor(self):
@@ -224,10 +224,9 @@ def singular_points(foliation):
 
 
 def localize(foliation, point):
-    """The chart field of the owning chart as a germ at the point."""
-    a, b = foliation.charts[point.chart].components
-    desc = point.descriptor
-    return VectorFieldGerm(a.lift(desc), b.lift(desc), basepoint=point.coordinates)
+    """The chart field of the owning chart, translated so the point is the origin."""
+    return VectorFieldGerm(*(translate_to_origin(c, point.coordinates)
+                             for c in foliation.charts[point.chart].components))
 
 
 # -- divisors ---------------------------------------------------------------

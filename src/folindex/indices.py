@@ -1,14 +1,14 @@
 """Local indices of a vector field germ at a plane singular point.
 
-Every operation takes the germ together with the curves it interacts
-with in one shared ambient coordinate system; the basepoint recorded on
-the germ is where everything is localized, and all colength and branch
-computations happen after translating that point to the origin.  Each
-germ and curve is localized once per computation: a curve becomes a
-``_LocalCurve`` that carries its reducedness proof, its Milnor number
-and its branch expansions, so the Euler obstruction, the GSV correction
-and the irreducibility test of one computation share them instead of
-translating, checking and expanding again.
+Every germ here lives at the origin: the field and the curves it
+interacts with are polynomials already translated there, once, by
+whoever made the germ (``foliation.localize`` and the divisor germs of
+``verify``; a caller with a germ elsewhere applies ``translate_to_origin``
+to each polynomial).  Each curve is prepared once per computation: it
+becomes a ``_LocalCurve`` that carries its reducedness proof, its Milnor
+number and its branch expansions, so the Euler obstruction, the GSV
+correction and the irreducibility test of one computation share them
+instead of checking and expanding again.
 
 The computable surface is: the Poincare-Hopf index as a colength, the
 Euler obstruction pairing of the field with an invariant curve through
@@ -33,7 +33,6 @@ from .exactcore import (
     PreconditionError,
     ResourceCapError,
     SaitoCheckError,
-    translate_to_origin,
     try_divide,
 )
 from .localmult import INFINITE, curve_multiplicity, intersection_multiplicity, milnor_number
@@ -45,31 +44,19 @@ _DEFAULT_CAP = 512
 
 
 class VectorFieldGerm:
-    """A polynomial vector field germ a*d/dx + b*d/dy at a basepoint.
+    """A polynomial vector field germ a*d/dx + b*d/dy at the origin."""
 
-    Components are stored translated to the origin; ``basepoint`` records
-    where the germ came from so curves given in ambient coordinates can be
-    localized consistently.
-    """
-
-    def __init__(self, a, b, basepoint=None):
+    def __init__(self, a, b):
         a, b = a._pair(b)
         if len(a.variables) != 2:
             raise PreconditionError("vector field germs need exactly two variables")
-        if basepoint is None:
-            basepoint = _ORIGIN
-        basepoint = tuple(basepoint)
-        al = translate_to_origin(a, basepoint)
-        bl = translate_to_origin(b, basepoint)
-        al, bl = al._pair(bl)
-        self.components = (al, bl)
-        self.basepoint = basepoint
-        self.variables = al.variables
-        self.descriptor = al.descriptor
+        self.components = (a, b)
+        self.variables = a.variables
+        self.descriptor = a.descriptor
 
     def __repr__(self):
         a, b = self.components
-        return f"VectorFieldGerm({a.to_str()}, {b.to_str()}; basepoint={self.basepoint})"
+        return f"VectorFieldGerm({a.to_str()}, {b.to_str()})"
 
 
 @dataclass(frozen=True)
@@ -99,24 +86,24 @@ def _precision_cap():
     return cap
 
 
-def _localize_curve(v, f):
+def _curve_over(v, f):
+    """The curve equation f over the field of the germ v."""
     if f.is_zero:
         raise PreconditionError("the zero polynomial does not define a curve")
-    if tuple(f.variables) != tuple(v.variables):
-        a = v.components[0]
-        f, _ = f._pair(a)
-    return translate_to_origin(f, v.basepoint)
+    return f._pair(v.components[0])[0]
 
 
 class _LocalCurve:
-    """A curve germ translated to the origin, for the length of one computation.
+    """A curve germ at the origin, for the length of one computation.
 
     The first expansion needs a proof that the curve passes through the
-    origin and is reduced there: the Milnor number ``mu``, if computed
-    (at most once; it is finite exactly on reduced germs, and a lift to a
-    larger field keeps it), else the square-free test of
-    ``puiseux.branches``.  Each precision is expanded at most once, and
-    one that failed to certify fails again without being expanded again.
+    origin and is reduced there.  Computing the Milnor number ``mu`` (at
+    most once; a lift to a larger field keeps it) gives that proof, since
+    ``milnor_number`` runs the square-free gcd test before Fulton's
+    recursion; else the first expansion runs that gcd test itself, as
+    ``puiseux.branches`` does.  Each precision is expanded at most once,
+    and one that failed to certify fails again without being expanded
+    again.
     """
 
     def __init__(self, poly, mu=None):
@@ -170,7 +157,7 @@ def _derivation_applied(v, f_local):
 
 def is_logarithmic(v, f):
     """True when the field preserves the ideal of the curve: f | v(f)."""
-    fl = _localize_curve(v, f)
+    fl = _curve_over(v, f)
     vf, fl = _derivation_applied(v, fl)
     return try_divide(vf, fl) is not None
 
@@ -195,11 +182,11 @@ def _adaptive(curve, work):
 def euler_obstruction_field(v, f):
     """Sum of Nash lift orders of the field over the branches of V(f).
 
-    Requires the field tangent to V(f) at the basepoint; the divisibility
+    Requires the field tangent to V(f) at the origin; the divisibility
     test f | v(f) and the branchwise tangency test must agree, and either
     failing is an error.
     """
-    return _euler_obstruction_local(v, _LocalCurve(_localize_curve(v, f)))
+    return _euler_obstruction_local(v, _LocalCurve(_curve_over(v, f)))
 
 
 def _euler_obstruction_local(v, curve):
@@ -232,12 +219,13 @@ def _pairing(v, curve, fl):
 
 def gsv_index(v, f):
     """Euler obstruction corrected by Milnor number and multiplicity."""
-    return _gsv(v, _LocalCurve(_localize_curve(v, f)))
+    return _gsv(v, _LocalCurve(_curve_over(v, f)))
 
 
 def _gsv(v, curve):
     fl = _tangent_equation(v, curve)
-    # mu before any expansion: it proves the curve reduced, so no gcd test runs
+    # mu before any expansion: its gcd test proves the curve reduced, so the
+    # expansion runs no second one
     mu = curve.milnor()
     eu = _pairing(v, curve, fl)
     m = curve_multiplicity(curve.poly, _ORIGIN)
@@ -270,12 +258,10 @@ def _det(p, q, r, s):
 
 def saito_check(chi1, chi2, f):
     """Unit u with det(chi1, chi2) = u * f; structured failure otherwise."""
-    if chi1.basepoint != chi2.basepoint:
-        raise PreconditionError("basis fields live at different basepoints")
     for chi in (chi1, chi2):
         if not is_logarithmic(chi, f):
             raise NotLogarithmicError("a basis field does not preserve the curve ideal")
-    fl = _localize_curve(chi1, f)
+    fl = _curve_over(chi1, f)
     a1, b1 = chi1.components
     a2, b2 = chi2.components
     det = _det(a1, a2, b1, b2)
@@ -295,18 +281,12 @@ def log_index(v, basis):
     unit is dropped since it does not change the ideal.
     """
     chi1, chi2, f = basis.chi1, basis.chi2, basis.divisor
-    if v.basepoint != chi1.basepoint:
-        raise PreconditionError("field and basis live at different basepoints")
     saito_check(chi1, chi2, f)
-    fl = _localize_curve(v, f)
+    fl = _curve_over(v, f)
+    ambient_ph = ph_index(v).value
     a, b = v.components
     a1, b1 = chi1.components
     a2, b2 = chi2.components
-    if not (_vanishes_at_origin(a) and _vanishes_at_origin(b)):
-        raise PreconditionError("vector field does not vanish at the basepoint")
-    amb = intersection_multiplicity(a, b, _ORIGIN)
-    if amb.value is INFINITE:
-        raise NonIsolatedError("vector field has a non-isolated ambient zero")
     num1 = _det(a, a2, b, b2)
     num2 = _det(a1, a, b1, b)
     alpha1 = try_divide(num1, fl)
@@ -325,7 +305,7 @@ def log_index(v, basis):
         if im.value is INFINITE:
             raise NonIsolatedError("coefficient ideal is not zero-dimensional")
         value = im.value
-    return IndexReport("LOG", value, {"alpha_colength": value, "ambient_ph": amb.value})
+    return IndexReport("LOG", value, {"alpha_colength": value, "ambient_ph": ambient_ph})
 
 
 def _one_branch(bs):
@@ -336,8 +316,8 @@ def _one_branch(bs):
 
 def mu_along_curve(v, curve):
     """Multiplicity of the field along an irreducible invariant curve germ."""
-    local = _LocalCurve(_localize_curve(v, curve))
-    local.milnor()   # the GSV index needs mu, which proves the curve reduced
+    local = _LocalCurve(_curve_over(v, curve))
+    local.milnor()   # the GSV index needs mu, whose gcd test proves the curve reduced
     if not _adaptive(local, _one_branch):
         raise PreconditionError("curve germ is not irreducible")
     # the Euler obstruction starts from the branches just expanded
@@ -397,40 +377,30 @@ def weighted_homogeneous_weights(f):
     return edges[0][:3] if len(edges) == 1 and len(edges[0][3]) == len(f.terms) else None
 
 
-def auto_saito_basis(f, point=None):
-    """A Saito basis for V(f) at the point, for the shapes we can write down.
+def auto_saito_basis(f):
+    """A Saito basis for V(f) at the origin, for the shapes we can write down.
 
     Smooth points get the Hamiltonian field paired with a multiple of the
     curve equation; weighted-homogeneous germs get the Euler and
     Hamiltonian fields.  Anything else must be supplied by the caller.
-    The basis fields are germs at the point, in ambient coordinates.
     """
-    if point is None:
-        point = _ORIGIN
-    point = tuple(point)
     if f.is_zero:
         raise PreconditionError("the zero polynomial does not define a curve")
-    fl = translate_to_origin(f, point)
-    if not _vanishes_at_origin(fl):
+    if not _vanishes_at_origin(f):
         raise PreconditionError("point is not on the curve")
     x, y = f.variables
     fx = f.diff(x)
     fy = f.diff(y)
-    hamiltonian = VectorFieldGerm(fy, -fx, point)
+    hamiltonian = VectorFieldGerm(fy, -fx)
     zero = MultiPoly.zero(f.variables, f.descriptor)
-    if not _vanishes_at_origin(translate_to_origin(fy, point)):
-        return LogBasis(hamiltonian, VectorFieldGerm(zero, f, point), f)
-    if not _vanishes_at_origin(translate_to_origin(fx, point)):
-        return LogBasis(hamiltonian, VectorFieldGerm(f, zero, point), f)
-    w = weighted_homogeneous_weights(fl)
+    if not _vanishes_at_origin(fy):
+        return LogBasis(hamiltonian, VectorFieldGerm(zero, f), f)
+    if not _vanishes_at_origin(fx):
+        return LogBasis(hamiltonian, VectorFieldGerm(f, zero), f)
+    w = weighted_homogeneous_weights(f)
     if w is not None:
         w1, w2, _ = w
-        # the Euler field for the local weights, written in ambient coordinates
-        ex = (MultiPoly.variable(x, f.variables, f.descriptor)
-              - MultiPoly.constant(point[0], f.variables, f.descriptor)) * w1
-        ey = (MultiPoly.variable(y, f.variables, f.descriptor)
-              - MultiPoly.constant(point[1], f.variables, f.descriptor)) * w2
-        euler = VectorFieldGerm(ex, ey, point)
-        return LogBasis(euler, hamiltonian, f)
+        X, Y = (MultiPoly.variable(z, f.variables, f.descriptor) for z in (x, y))
+        return LogBasis(VectorFieldGerm(X * w1, Y * w2), hamiltonian, f)
     raise MissingInputError(
         "no automatic basis for this germ; supply chi1 and chi2 explicitly")

@@ -28,10 +28,9 @@ _DEPTH_CAP = 10 ** 4
 
 @dataclass(frozen=True)
 class LocalMultiplicity:
-    """Colength of (f, g) at a point, with the algorithm that produced it."""
+    """Colength of (f, g) at a point."""
 
     value: object  # int >= 0, or INFINITE
-    method: str    # "fulton-recursive"
 
     @property
     def is_finite(self):
@@ -110,10 +109,10 @@ def intersection_multiplicity(f, g, p):
     ft, gt = ft._pair(gt)
     common = gcd(ft, gt)
     if not common.is_constant and _origin_value(common) is None:
-        return LocalMultiplicity(INFINITE, "fulton-recursive")
+        return LocalMultiplicity(INFINITE)
     x, y = ft.variables
     value = _fulton(ft, gt, x, y)
-    return LocalMultiplicity(value, "fulton-recursive")
+    return LocalMultiplicity(value)
 
 
 def milnor_number(f, p):

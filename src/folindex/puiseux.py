@@ -67,10 +67,6 @@ ZERO_UP_TO_TRUNCATION = _Sentinel("ZERO_UP_TO_TRUNCATION")
 class InsufficientPrecisionError(PreconditionError):
     """The requested truncation cannot certify the reported data."""
 
-    def __init__(self, message, suggested_precision=None):
-        super().__init__(message)
-        self.suggested_precision = suggested_precision
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -536,13 +532,11 @@ def _germ_branches(ft, precision, p, variables):
     for b in out:
         if not _compose(ft, b, b.precision).is_zero:
             raise InsufficientPrecisionError(
-                "a computed parametrization fails to satisfy the equation",
-                suggested_precision=2 * precision)
+                "a computed parametrization fails to satisfy the equation")
     covered = sum(b.multiplicity * b.conjugacy_size for b in out)
     if covered != total_mult:
         raise InsufficientPrecisionError(
-            f"branches cover multiplicity {covered} of {total_mult}",
-            suggested_precision=2 * precision)
+            f"branches cover multiplicity {covered} of {total_mult}")
     return out
 
 
@@ -595,7 +589,6 @@ def nash_lift_order(branch, v):
         # indistinguishable from a field vanishing on the whole branch;
         # a larger truncation may still separate the two
         raise InsufficientPrecisionError(
-            "vector field vanishes along the branch up to the truncation",
-            suggested_precision=2 * branch.precision)
+            "vector field vanishes along the branch up to the truncation")
     return o
 

@@ -71,18 +71,15 @@ class GlobalReport:
 
 
 def _local_divisor(chart_eqs, point):
-    return chart_eqs[point.chart].lift(point.descriptor)
+    """The divisor's equation in the point's chart, translated so the point is the origin."""
+    return translate_to_origin(chart_eqs[point.chart], point.coordinates)
 
 
-def _divisor_germ(chart_eqs, point):
-    return _LocalCurve(translate_to_origin(_local_divisor(chart_eqs, point), point.coordinates))
-
-
-def _divisor_gsv(v, chart_eqs, point, dsing):
-    """GSV index of the field at a point on the divisor, reusing the germ (and Milnor
+def _divisor_germ_at(chart_eqs, point, dsing):
+    """The divisor germ at a point on the divisor, reusing the germ (and Milnor
     number) of a divisor singularity, matched by chart and coordinates."""
     key = (point.chart, point.coordinates)
-    return _gsv(v, dsing[key][1] if key in dsing else _divisor_germ(chart_eqs, point))
+    return dsing[key][1] if key in dsing else _LocalCurve(_local_divisor(chart_eqs, point))
 
 
 def _on_divisor(chart_eqs, point):
@@ -105,7 +102,7 @@ def _divisor_singularities(chart_eqs):
         a, b = divexact(a, g), divexact(b, g)
     chart_polys = [(a, b, h0)] + [(h, *(h.diff(v) for v in h.variables))
                                   for h in (h1, h2)]
-    return {(q.chart, q.coordinates): (q, _divisor_germ(chart_eqs, q))
+    return {(q.chart, q.coordinates): (q, _LocalCurve(_local_divisor(chart_eqs, q)))
             for q in _chart_zeros(chart_polys)}
 
 
@@ -132,9 +129,9 @@ def _divisor_degree(H):
     return sum(next(iter(H.terms)))
 
 
-def _saito_basis_at(chart_eqs, point):
+def _saito_basis_at(h, point):
     try:
-        return auto_saito_basis(_local_divisor(chart_eqs, point), point.coordinates)
+        return auto_saito_basis(h)
     except PreconditionError as exc:
         raise MissingInputError(
             f"no automatic Saito basis at {point.projective_string()}: {exc}") from exc
@@ -172,7 +169,7 @@ def verify_log_seh(foliation, H):
     for p in singular_points(foliation):
         v = localize(foliation, p)
         if _on_divisor(chart_eqs, p):
-            basis = _saito_basis_at(chart_eqs, p)
+            basis = _saito_basis_at(_local_divisor(chart_eqs, p), p)
             per.append((p.projective_string(), "LOG",
                         p.conjugacy_size * log_index(v, basis).value))
         else:
@@ -219,13 +216,14 @@ def verify_isolated(foliation, H):
             per.append((name, "PH", w * ph))
             rhs_schwartz += w * ph
             continue
-        gsv = _divisor_gsv(v, chart_eqs, p, dsing)
+        germ = _divisor_germ_at(chart_eqs, p, dsing)
+        gsv = _gsv(v, germ)
         rhs_schwartz += w * (ph - _schwartz_of(gsv).value)
         if _divisor_singular_at(chart_eqs, p):
             per.append((name, "PH", w * ph))
             per.append((name, "GSV", -w * gsv.value))
         else:
-            basis = _saito_basis_at(chart_eqs, p)
+            basis = _saito_basis_at(germ.poly, p)
             per.append((name, "LOG", w * log_index(v, basis).value))
     for q, germ in dsing.values():
         mu_total += q.conjugacy_size * germ.milnor()
@@ -256,7 +254,7 @@ def verify_total_gsv(foliation, H):
             continue
         v = localize(foliation, p)
         per.append((p.projective_string(), "GSV",
-                    p.conjugacy_size * _divisor_gsv(v, chart_eqs, p, dsing).value))
+                    p.conjugacy_size * _gsv(v, _divisor_germ_at(chart_eqs, p, dsing)).value))
     rhs = sum(val for _, _, val in per)
     return GlobalReport(
         "TOTAL_GSV", lhs, rhs, tuple(per), lhs == rhs,

@@ -1,6 +1,6 @@
 """Command-line runs in a fresh process: deep polynomial text, numbers
-int() cannot read, powers past the term cap and the sympy-free path of a
-rational edge root."""
+int() cannot read, powers past the term and coefficient caps and the
+sympy-free path of a rational edge root."""
 
 import subprocess
 import sys
@@ -71,10 +71,16 @@ SQRT2 = {"generator": "r", "minpoly": "r^2 - 2"}
      SQRT2),
     ("(-x)^100000001", 0, "", None),
     ("0^100000001*x + x", 0, "", None),
-], ids=["sum", "monomial", "integer-power", "sqrt2-power", "negated-monomial", "zero-power"])
+    ("(12345*x+67891)^499", 4, "error: power 499 of a 2-term polynomial exceeds the coefficient cap 2000 bits\n",
+     None),
+    ("(x+1)^499 - 1", 0, "", None),
+    ("(r*x+1)^499 - 1", 0, "", SQRT2),
+], ids=["sum", "monomial", "integer-power", "sqrt2-power", "negated-monomial", "zero-power",
+        "wide-coefficients", "sum-below-caps", "sqrt2-sum-below-caps"])
 def test_term_cap_stops_a_power_of_a_sum_not_a_monomial(tmp_path, component, code, stderr, field):
     # (x+1)^100000 has 100001 terms; a monomial power has one at any
-    # exponent, but only a coefficient of 0 or +-1 keeps that term small
+    # exponent, but only a coefficient of 0 or +-1 keeps that term small.
+    # (12345*x+67891)^499 has 500 terms but 8,126-bit coefficients
     doc = {"variables": ["x", "y"], "germ": {"vector_field": [component, "y"]}}
     if field:
         doc["field"] = field

@@ -16,6 +16,7 @@ from folindex.exactcore import (
     PreconditionError,
     SaitoCheckError,
     substitute,
+    translate_to_origin,
 )
 from folindex.indices import (
     LogBasis,
@@ -266,7 +267,20 @@ def test_chi_equals_log_for_weighted_homogeneous_pair():
 # ----------------------------------------------------------------- basepoint
 
 def test_germ_at_moved_basepoint():
-    f = P2("y^2 - (x - 1)^3")
-    v = VectorFieldGerm(P2("2*y"), P2("3*(x - 1)^2"), (Fraction(1), Fraction(0)))
-    assert euler_obstruction_field(v, f).value == 3
-    assert schwartz_index(v, f).value == 2
+    # a germ at (1, 0) is translated once, where it is made; every index
+    # then sees the Hamiltonian field of the cusp at the origin
+    point = (Fraction(1), Fraction(0))
+    f = translate_to_origin(P2("y^2 - (x - 1)^3"), point)
+    v = VectorFieldGerm(*(translate_to_origin(P2(c), point) for c in ("2*y", "3*(x - 1)^2")))
+    ham = germ("2*y", "3*x^2")
+
+    def reports(v, f):
+        return [ph_index(v), euler_obstruction_field(v, f), gsv_index(v, f),
+                schwartz_index(v, f), log_index(v, auto_saito_basis(f)),
+                mu_along_curve(v, f), polar_intersection(v, f), chi_number(v, [(f, 1)])]
+
+    moved, at_origin = reports(v, f), reports(ham, CUSP)
+    assert [r.kind for r in moved] == ["PH", "EU_OBSTRUCTION", "GSV", "SCHWARTZ", "LOG",
+                                       "MU_ALONG_CURVE", "POLAR", "CHI_NUMBER"]
+    assert moved == at_origin
+    assert [r.value for r in moved][1:4] == [3, 0, 2]
