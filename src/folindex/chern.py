@@ -22,7 +22,6 @@ there, so it cannot be applied twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .exactcore import PreconditionError
@@ -36,22 +35,25 @@ def _check_int_tuple(values, what):
     return values
 
 
-@dataclass(frozen=True)
 class ChowClass:
     """c0 + c1*h + ... + cn*h^n modulo h^(n+1) on projective n-space."""
 
-    ambient_dim: int
-    coefficients: tuple
+    __slots__ = ("ambient_dim", "coefficients")
 
-    def __post_init__(self):
-        coeffs = _check_int_tuple(self.coefficients, "Chow coefficients")
-        if not isinstance(self.ambient_dim, int) or self.ambient_dim < 1:
+    def __init__(self, ambient_dim, coefficients):
+        coeffs = _check_int_tuple(coefficients, "Chow coefficients")
+        if not isinstance(ambient_dim, int) or ambient_dim < 1:
             raise PreconditionError("ambient dimension must be a positive integer")
-        if len(coeffs) != self.ambient_dim + 1:
+        if len(coeffs) != ambient_dim + 1:
             raise PreconditionError(
-                f"a class on P^{self.ambient_dim} needs exactly "
-                f"{self.ambient_dim + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coefficients", coeffs)
+                f"a class on P^{ambient_dim} needs exactly "
+                f"{ambient_dim + 1} coefficients, got {len(coeffs)}")
+        self.ambient_dim = ambient_dim
+        self.coefficients = coeffs
+
+    def __eq__(self, other):
+        return type(other) is ChowClass and (self.ambient_dim, self.coefficients) == (
+            other.ambient_dim, other.coefficients)
 
     @classmethod
     def one(cls, n):
@@ -133,17 +135,16 @@ def top_chern_twist(cE, ell):
     return sum(ci * (-ell) ** (n - i) for i, ci in enumerate(cE.coefficients))
 
 
-@dataclass(frozen=True)
 class CSMClass:
     """Integer homology components (alpha_0, ..., alpha_n) by dimension."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = _check_int_tuple(self.components, "CSM components")
+    def __init__(self, components):
+        comps = _check_int_tuple(components, "CSM components")
         if len(comps) != 3:
             raise PreconditionError("CSM classes are supported on the projective plane only")
-        object.__setattr__(self, "components", comps)
+        self.components = comps
 
     @classmethod
     def projective_plane(cls):

@@ -27,22 +27,27 @@ kind, which the test suite checks identity by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactcore import PreconditionError
 from .indices import _adaptive, _euler_obstruction_local, _LocalCurve, ph_index
 
 
-@dataclass(frozen=True)
 class CurveRecord:
     """One reduced curve germ tracked by a constructible function."""
 
-    key: str
-    mult: int
-    mu: int
-    branch_summary: tuple  # (parametrization order, conjugate count) per branch
-    # the germ with its Milnor number and expansions, for the pairing
-    curve: _LocalCurve = field(compare=False, repr=False)
+    __slots__ = ("key", "mult", "mu", "branch_summary", "curve")
+
+    def __init__(self, key, mult, mu, branch_summary, curve):
+        self.key = key
+        self.mult = mult
+        self.mu = mu
+        self.branch_summary = branch_summary  # (parametrization order, conjugates) per branch
+        self.curve = curve  # the germ, its Milnor number and expansions, for the pairing
+
+    def __eq__(self, other):
+        # without the germ: two parses of one curve make one record
+        return type(other) is CurveRecord and (
+            self.key, self.mult, self.mu, self.branch_summary) == (
+            other.key, other.mult, other.mu, other.branch_summary)
 
 
 def _make_record(f):
@@ -52,7 +57,7 @@ def _make_record(f):
         raise PreconditionError("curve germs live in exactly two variables")
     m = f.order_at_origin()
     if m == 0:
-        raise PreconditionError("curve does not pass through the basepoint")
+        raise PreconditionError("curve does not pass through the origin")
     curve = _LocalCurve(f)
     mu = curve.milnor()   # its gcd test proves the curve reduced at the origin
     summary = _adaptive(
@@ -78,20 +83,27 @@ def _format_term(coeff, label):
     return f"{sign} {abs(coeff)}*{label}"
 
 
-@dataclass(frozen=True)
 class ConstructibleFn:
     """Integer combination  a*1[W] + sum_i c_i*Eu[C_i] + p*1[0].
 
     ``curve_terms`` holds (curve key, coefficient) pairs sorted by key
     with every coefficient nonzero; ``registry`` maps each key to its
-    :class:`CurveRecord`.  Values are immutable; arithmetic returns new
-    functions with merged registries.
+    :class:`CurveRecord`.  Values are never changed in place; arithmetic
+    returns new functions with merged registries.
     """
 
-    ambient_coeff: int
-    curve_terms: tuple
-    point_coeff: int
-    registry: dict = field(default_factory=dict)
+    __slots__ = ("ambient_coeff", "curve_terms", "point_coeff", "registry")
+
+    def __init__(self, ambient_coeff, curve_terms, point_coeff, registry=None):
+        self.ambient_coeff = ambient_coeff
+        self.curve_terms = curve_terms
+        self.point_coeff = point_coeff
+        self.registry = {} if registry is None else registry
+
+    def __eq__(self, other):
+        return type(other) is ConstructibleFn and (
+            self.ambient_coeff, self.curve_terms, self.point_coeff, self.registry) == (
+            other.ambient_coeff, other.curve_terms, other.point_coeff, other.registry)
 
     @classmethod
     def whole_space(cls):
@@ -178,11 +190,13 @@ def _canonical(ambient, terms, point_coeff, registry):
     return ConstructibleFn(ambient, kept, point_coeff, reg)
 
 
-@dataclass(frozen=True)
 class LagrangianCycle:
     """Signed formal sum of conormal supports in the cotangent space."""
 
-    terms: tuple  # (support label, integer multiplicity)
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms  # (support label, integer multiplicity)
 
 
 # -- constructors -----------------------------------------------------------

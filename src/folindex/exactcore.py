@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _add
 
@@ -174,7 +173,6 @@ def _exact(value):
 # Field descriptors and field elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FieldDescriptor:
     """The coefficient field: the rationals, or one simple extension of them.
 
@@ -190,11 +188,25 @@ class FieldDescriptor:
     and take no part in equality or hashing.
     """
 
-    kind: str
-    generator_name: str | None = None
-    minimal_polynomial: tuple | None = None
-    reduction_rows: tuple = field(default=(), compare=False)
-    reduction_den: int = field(default=1, compare=False)
+    __slots__ = ("kind", "generator_name", "minimal_polynomial", "reduction_rows",
+                 "reduction_den")
+
+    def __init__(self, kind, generator_name=None, minimal_polynomial=None,
+                 reduction_rows=(), reduction_den=1):
+        self.kind = kind
+        self.generator_name = generator_name
+        self.minimal_polynomial = minimal_polynomial
+        self.reduction_rows = reduction_rows
+        self.reduction_den = reduction_den
+
+    def _key(self):
+        return (self.kind, self.generator_name, self.minimal_polynomial)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is FieldDescriptor and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def rationals():

@@ -34,7 +34,6 @@ of extensions raise ExtensionRequiredError.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .exactcore import (
     QQ,
@@ -57,7 +56,6 @@ _CHART_VARS = {1: ("u", "v"), 2: ("s", "w")}
 _KEPT = ((0, 1), (1, 2), (0, 2))    # exponents of (x, y, z) each chart keeps
 
 
-@dataclass(frozen=True)
 class SingularPoint:
     """One Galois orbit of singular points, owned by a single chart.
 
@@ -67,9 +65,10 @@ class SingularPoint:
     the points of the orbit.
     """
 
-    chart: int
-    coordinates: tuple
-    conjugacy_size: int
+    __slots__ = ("chart", "coordinates", "conjugacy_size")
+
+    def __init__(self, chart, coordinates, conjugacy_size):
+        self.chart, self.coordinates, self.conjugacy_size = chart, coordinates, conjugacy_size
 
     @property
     def descriptor(self):
@@ -87,14 +86,16 @@ class SingularPoint:
         return (self.chart, self.projective_string())
 
 
-@dataclass(frozen=True)
 class ProjFoliation:
     """A foliation given by compatible vector fields in the three charts."""
 
-    charts: tuple   # VectorFieldGerm per chart, in (x, y), (u, v), (s, w)
-    degree: int
-    tangent_line_bundle_twist: int
-    line_at_infinity_invariant: bool
+    __slots__ = ("charts", "degree", "tangent_line_bundle_twist", "line_at_infinity_invariant")
+
+    def __init__(self, charts, degree, tangent_line_bundle_twist, line_at_infinity_invariant):
+        self.charts = charts   # VectorFieldGerm per chart, in (x, y), (u, v), (s, w)
+        self.degree = degree
+        self.tangent_line_bundle_twist = tangent_line_bundle_twist
+        self.line_at_infinity_invariant = line_at_infinity_invariant
 
 
 def _in_chart(triples, which, variables, descriptor):

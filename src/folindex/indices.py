@@ -20,7 +20,6 @@ its defining formula.
 """
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import (
@@ -59,20 +58,24 @@ class VectorFieldGerm:
         return f"VectorFieldGerm({a.to_str()}, {b.to_str()})"
 
 
-@dataclass(frozen=True)
 class LogBasis:
     """A free basis (chi1, chi2) of the fields tangent to V(divisor)."""
 
-    chi1: VectorFieldGerm
-    chi2: VectorFieldGerm
-    divisor: MultiPoly
+    __slots__ = ("chi1", "chi2", "divisor")
+
+    def __init__(self, chi1, chi2, divisor):
+        self.chi1, self.chi2, self.divisor = chi1, chi2, divisor
 
 
-@dataclass(frozen=True)
 class IndexReport:
-    kind: str
-    value: int
-    ingredients: dict
+    __slots__ = ("kind", "value", "ingredients")
+
+    def __init__(self, kind, value, ingredients):
+        self.kind, self.value, self.ingredients = kind, value, ingredients
+
+    def __eq__(self, other):
+        return type(other) is IndexReport and (self.kind, self.value, self.ingredients) == (
+            other.kind, other.value, other.ingredients)
 
 
 def _precision_cap():
@@ -140,7 +143,7 @@ def ph_index(v):
     """Colength of the component ideal: the Poincare-Hopf index at the point."""
     a, b = v.components
     if not (_vanishes_at_origin(a) and _vanishes_at_origin(b)):
-        raise PreconditionError("vector field does not vanish at the basepoint")
+        raise PreconditionError("vector field does not vanish at the origin")
     im = intersection_multiplicity(a, b, _ORIGIN)
     if im.value is INFINITE:
         raise NonIsolatedError("vector field has a non-isolated zero")
@@ -269,7 +272,7 @@ def saito_check(chi1, chi2, f):
     if u is None:
         raise SaitoCheckError("determinant of the basis is not a multiple of the divisor")
     if _vanishes_at_origin(u):
-        raise SaitoCheckError("determinant unit factor vanishes at the basepoint")
+        raise SaitoCheckError("determinant unit factor vanishes at the origin")
     return u
 
 

@@ -6,8 +6,6 @@ It is field-agnostic and independent of the series-expansion machinery,
 which lets the two act as oracles for each other in the test suite.
 """
 
-from dataclasses import dataclass
-
 from .exactcore import (
     MultiPoly,
     NonReducedError,
@@ -26,11 +24,13 @@ INFINITE = _Sentinel("INFINITE")
 _DEPTH_CAP = 10 ** 4
 
 
-@dataclass(frozen=True)
 class LocalMultiplicity:
     """Colength of (f, g) at a point."""
 
-    value: object  # int >= 0, or INFINITE
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value  # int >= 0, or INFINITE
 
     @property
     def is_finite(self):

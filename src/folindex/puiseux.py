@@ -34,13 +34,11 @@ degree >= N as it goes unless the branch is exact, so exact answers carry
 no truncation caveat.
 """
 
-from dataclasses import dataclass
 from math import comb, gcd
 
 from .exactcore import (
     DescriptorMismatchError,
     ExtensionRequiredError,
-    FieldDescriptor,
     FieldElem,
     MultiPoly,
     NonReducedError,
@@ -68,7 +66,6 @@ class InsufficientPrecisionError(PreconditionError):
     """The requested truncation cannot certify the reported data."""
 
 
-@dataclass(frozen=True)
 class Branch:
     """One analytic branch of a plane curve germ, up to Galois conjugacy.
 
@@ -82,15 +79,20 @@ class Branch:
     truncated at t^``precision``.
     """
 
-    descriptor: FieldDescriptor
-    x_poly: MultiPoly
-    y_poly: MultiPoly
-    precision: int
-    multiplicity: int
-    conjugacy_size: int
-    exact: bool
-    point: tuple
-    variables: tuple
+    __slots__ = ("descriptor", "x_poly", "y_poly", "precision", "multiplicity",
+                 "conjugacy_size", "exact", "point", "variables")
+
+    def __init__(self, descriptor, x_poly, y_poly, precision, multiplicity,
+                 conjugacy_size, exact, point, variables):
+        self.descriptor = descriptor
+        self.x_poly = x_poly
+        self.y_poly = y_poly
+        self.precision = precision
+        self.multiplicity = multiplicity
+        self.conjugacy_size = conjugacy_size
+        self.exact = exact
+        self.point = point
+        self.variables = variables
 
 
 def series_text(poly, n):
@@ -124,11 +126,12 @@ def _t_order(poly):
     return None if poly.is_zero else min(k[0] for k in poly.terms)
 
 
-@dataclass
 class _Path:
-    steps: list          # [(q, p, c)] outermost first
-    conjugacy: int
-    exact: bool
+    __slots__ = ("steps", "conjugacy", "exact")
+
+    def __init__(self, steps, conjugacy, exact):
+        # steps: [(q, p, c)] outermost first
+        self.steps, self.conjugacy, self.exact = steps, conjugacy, exact
 
 
 def _origin_coeff(f):

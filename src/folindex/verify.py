@@ -23,8 +23,6 @@ serves both the left-hand side and the GSV index there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chern import (
     ChowClass,
     CSMClass,
@@ -52,7 +50,6 @@ from .foliation import (
 from .indices import _gsv, _LocalCurve, _schwartz_of, auto_saito_basis, log_index, ph_index
 
 
-@dataclass(frozen=True)
 class GlobalReport:
     """One verified global identity with its per-point breakdown.
 
@@ -61,13 +58,16 @@ class GlobalReport:
     plain sum is ``rhs``; ``passed`` records the exact comparison.
     """
 
-    theorem: str
-    lhs: int
-    rhs: int
-    per_point: tuple
-    passed: bool
-    assumptions: tuple = ()
-    details: dict = field(default_factory=dict)
+    __slots__ = ("theorem", "lhs", "rhs", "per_point", "passed", "assumptions", "details")
+
+    def __init__(self, theorem, lhs, rhs, per_point, passed, assumptions=(), details=None):
+        self.theorem = theorem
+        self.lhs = lhs
+        self.rhs = rhs
+        self.per_point = per_point
+        self.passed = passed
+        self.assumptions = assumptions
+        self.details = {} if details is None else details
 
 
 def _local_divisor(chart_eqs, point):

@@ -284,6 +284,17 @@ def test_non_invariant_divisor(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, doc, message", [
+    (["index", "--kind", "ph"], {"variables": ["x", "y"], "germ": {"vector_field": ["x + 1", "y"]}},
+     "vector field does not vanish at the origin"),
+    (["confun", "--expr", "1[y - 1]"], CUSP_HAM, "curve does not pass through the origin"),
+], ids=["ph", "confun"])
+def test_germ_off_the_origin_is_exit_2(tmp_path, capsys, argv, doc, message):
+    code, payload = run(tmp_path, argv, doc)
+    assert (code, payload) == (2, None)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("chern", [
     {"kind": "curve", "degree": 3, "milnor_numbers": [-5]},
     {"kind": "complement", "degree": 3, "milnor_numbers": [-5]},

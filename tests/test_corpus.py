@@ -67,18 +67,36 @@ def test_cold_run_stays_sympy_free(name):
     assert proc.returncode == 0, proc.stderr
 
 
+# Modules a cold run must not import: the dataclass machinery and what it
+# pulls in at startup.
+DATACLASS_MACHINERY = ("dataclasses", "inspect")
+
+
 def test_one_process_replays_every_sympy_free_entry_without_sympy():
     # every cold run but jouanolou.baum-bott (a degree-7 factorization over Q)
     # stays off sympy; one child process replays them all, so a sympy import
-    # by any of them is still in sys.modules at the end
+    # by any of them is still in sys.modules at the end.  sympy itself imports
+    # inspect, so only these runs can show that folindex does not.
     runs = [list(e["argv"]) + ["--input", str(CORPUS / e["problem"])]
             for e in ENTRIES if e["name"] != "jouanolou.baum-bott"]
     check = ("import json, sys\n"
              "from folindex.cli import main\n"
              "for argv in json.loads(sys.argv[1]):\n"
              "    assert main(argv) == 0, argv\n"
-             "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+             "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+             f"loaded = [m for m in {DATACLASS_MACHINERY!r} if m in sys.modules]\n"
+             "assert not loaded, f'{loaded} imported'\n")
     proc = subprocess.run([sys.executable, "-c", check, json.dumps(runs)],
                           env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert len(runs) == len(ENTRIES) - 1
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_help_imports_no_dataclass_machinery():
+    # -X importtime lists every module the run imports, one per stderr line
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "folindex.cli", "--help"],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "folindex.exactcore" in imported
+    assert not imported & set(DATACLASS_MACHINERY)
