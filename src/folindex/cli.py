@@ -495,8 +495,7 @@ def main(argv=None):
     if args.json:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
             return 1

@@ -178,8 +178,9 @@ class FieldDescriptor:
 
     ``minimal_polynomial`` is a monic coefficient tuple (constant term first)
     of degree d >= 2, present only for extensions.  ``simple_extension`` proves
-    it irreducible over Q by exact factorization and refuses it otherwise,
-    since a reducible one presents a ring with zero divisors, not a field.
+    it irreducible over Q (by ``_factor_qq``'s certificate, else by sympy) and
+    refuses it otherwise, since a reducible one presents a ring with zero
+    divisors, not a field.
 
     ``reduction_rows`` and ``reduction_den`` serve the integer product of
     FieldElem: row k holds the integer coordinates of
@@ -219,14 +220,14 @@ class FieldDescriptor:
             raise PreconditionError("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise PreconditionError("minimal polynomial must be monic")
-        if len(coeffs) == 3:
-            # a monic quadratic is reducible exactly when its discriminant is a square
-            reducible = _rational_root(coeffs[1] ** 2 - 4 * coeffs[0], 2) is not None
-        else:
+        factors = _factor_qq(coeffs)
+        if factors is None:   # no certificate: sympy decides
             from sympy import QQ as SQQ
             from sympy.polys.rings import ring
 
             reducible = not ring("_g", SQQ)[0].from_list(_sympy_qq(coeffs)).is_irreducible
+        else:
+            reducible = len(factors) > 1 or factors[0][1] > 1
         if reducible:
             raise PreconditionError("minimal polynomial is not irreducible over Q")
         # g^d = -(m_0 + ... + m_(d-1) g^(d-1)); each next power shifts the
@@ -1198,9 +1199,10 @@ def _resultant_sympy(f, g, var):
 # ---------------------------------------------------------------------------
 # The sympy boundary (the one bought dependency): ring conversion, the
 # univariate factorization kernel and resultants with both degrees 2 or
-# more.  Closed forms above keep the rest off it: of the corpus problems,
-# only the cold run of jouanolou.baum-bott (a degree-7 factorization over Q)
-# imports sympy.
+# more.  Closed forms keep the rest off it: a linear factor over any field,
+# and over Q rational roots and a mod-p irreducibility certificate
+# (``_factor_qq``).  sympy decides what the certificate does not, such as
+# x^4 + 1, reducible mod every prime; no corpus problem's cold run needs it.
 # ---------------------------------------------------------------------------
 
 def _sympy_qq(fractions):
@@ -1252,12 +1254,12 @@ def factor_univariate(coeffs, descriptor):
 
     ``coeffs``: FieldElem (or rational) list, constant term first.  Returns
     (unit FieldElem, list of (factor coefficient list, multiplicity)) with
-    monic factors over ``descriptor``.  Over QQ at degree <= 2 the factors
-    come in closed form from the discriminant, in sympy's order.  Everything
-    else goes through sympy's sparse univariate ring: over QQ, or over
-    QQ[g]/(minimal polynomial), where the factorization is norm-based and
-    exact.  If sympy cannot factor over the field, ExtensionRequiredError is
-    raised.
+    monic factors over ``descriptor``, in sympy's order.  A degree-1
+    polynomial is its own factor over any field, and over QQ ``_factor_qq``
+    factors what its certificate settles.  Everything else goes through
+    sympy's sparse univariate ring: over QQ, or over QQ[g]/(minimal
+    polynomial), where the factorization is norm-based and exact.  If sympy
+    cannot factor over the field, ExtensionRequiredError is raised.
     """
     coeffs = [FieldElem.of(c, descriptor) for c in coeffs]
     while coeffs and coeffs[-1].is_zero:
@@ -1266,9 +1268,12 @@ def factor_univariate(coeffs, descriptor):
         raise PreconditionError("factorization of the zero polynomial")
     if len(coeffs) == 1:
         return coeffs[0], []
-    if not descriptor.is_extension and len(coeffs) <= 3:
-        return coeffs[-1], [([FieldElem.of(c) for c in fac], mult)
-                            for fac, mult in _factor_low_degree_qq(coeffs)]
+    if len(coeffs) == 2:
+        return coeffs[-1], [([c / coeffs[-1] for c in coeffs], 1)]
+    if not descriptor.is_extension:
+        factors = _factor_qq([c.as_fraction() for c in coeffs])
+        if factors is not None:
+            return coeffs[-1], [([FieldElem.of(c) for c in fac], mult) for fac, mult in factors]
     from sympy import DomainError
 
     R, to_sympy, from_sympy = _sympy_ring(descriptor, "_z")
@@ -1304,25 +1309,101 @@ def _rational_root(w, q):
     return r if w >= 0 else -r
 
 
-def _factor_low_degree_qq(coeffs):
-    """Monic factors over Q of a degree 1 or 2 polynomial, as Fraction lists.
+# The rational-root search finds divisors by trial division, so it runs only
+# while the coefficients whose divisors it needs are at most this bound.
+_ROOT_SEARCH_CAP = 10 ** 6
 
-    sympy sorts two linear factors z - r by their primitive integer form
-    d*z - n (r = n/d), that is by (d, -n); a double root is one factor of
-    multiplicity 2.
+# The primes tried for the irreducibility certificate: Phi_7 = x^6 + ... + 1
+# is irreducible mod 3 (3 has order 6 mod 7), x^4 - 3 mod 5, x^5 - 2 mod 11.
+_CERTIFICATE_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _factor_qq(coeffs):
+    """Monic irreducible factors over Q (Fraction lists, constant term first)
+    in sympy's order, or None when no certificate settles the factorization.
+
+    The rational roots n/d of the primitive integer form F come from the
+    discriminant at degree 2, else from the rational-root theorem (d divides
+    F's leading coefficient, n its lowest nonzero one), each divided out as
+    often as it goes.  A cofactor of degree 2 or 3 is then irreducible; one
+    of higher degree only when it is irreducible mod a prime of
+    _CERTIFICATE_PRIMES not dividing its leading coefficient, which by
+    Gauss's lemma makes it irreducible over Q.  sympy sorts by (degree,
+    multiplicity, primitive integer coefficients, leading first).
     """
-    coeffs = [c.lift(QQ).as_fraction() for c in coeffs]
-    monic = [c / coeffs[-1] for c in coeffs]
-    if len(monic) == 2:
-        return [(monic, 1)]
-    q, p, _ = monic
-    s = _rational_root(p * p - 4 * q, 2)
-    if s is None:
-        return [(monic, 1)]
-    if s == 0:
-        return [([p / 2, 1], 2)]
-    roots = sorted(((-p + s) / 2, (-p - s) / 2), key=lambda r: (r.denominator, -r.numerator))
-    return [([-r, 1], 1) for r in roots]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    f = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    f = [c // g for c in f]
+    if len(f) == 3:
+        s = _rational_root(f[1] ** 2 - 4 * f[0] * f[2], 2)
+        roots = [] if s is None else [Fraction(-f[1] + e * s, 2 * f[2]) for e in (1, -1)]
+        candidates = [(r.denominator, r.numerator) for r in roots]
+    else:
+        k = next(i for i, c in enumerate(f) if c)   # z^k divides F
+        if max(f[-1], abs(f[k])) > _ROOT_SEARCH_CAP:
+            return None
+        candidates = [(1, 0)] * (k > 0) + [(d, e * n) for d in _divisors(f[-1])
+                                          for n in _divisors(abs(f[k])) for e in (1, -1)
+                                          if math.gcd(n, d) == 1]
+    found = {}
+    for d, n in candidates:
+        while (q := _divide_linear(f, d, n)) is not None:
+            f, found[d, n] = q, found.get((d, n), 0) + 1
+    if len(f) > 4 and not any(f[-1] % p and _irreducible_mod(f, p) for p in _CERTIFICATE_PRIMES):
+        return None
+    # z - n/d is d*z - n in primitive integer form
+    factors = [(2, mult, [d, -n], [Fraction(-n, d), Fraction(1)]) for (d, n), mult in found.items()]
+    if len(f) > 1:
+        factors.append((len(f), 1, f[::-1], [Fraction(c, f[-1]) for c in f]))
+    return [(fac, mult) for _, mult, _, fac in sorted(factors)]
+
+
+def _divisors(m):
+    """The positive divisors of the integer m >= 1."""
+    small = [k for k in range(1, math.isqrt(m) + 1) if m % k == 0]
+    return small + [m // k for k in reversed(small) if k * k != m]
+
+
+def _divide_linear(f, d, n):
+    """The integer list f divided by d*z - n (d >= 1), or None if not over Z."""
+    q, t = [], 0
+    for c in reversed(f[1:]):   # the top coefficient of f // (d*z - n) first
+        t, r = divmod(c + n * t, d)
+        if r:
+            return None
+        q.append(t)
+    return q[::-1] if f[0] == -n * t else None
+
+
+def _rem_mod(a, b, p):
+    """The remainder of a by b over F_p, b's leading coefficient prime to p."""
+    a, inv = [c % p for c in a], pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        t, shift = a[-1] * inv % p, len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - t * c) % p
+        a = _strip(a)
+    return a
+
+
+def _irreducible_mod(f, p):
+    """Whether the integer list f, with a leading coefficient prime to p, is
+    irreducible over F_p, by Ben-Or's test (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 14.9): a reducible f of degree n has an irreducible
+    factor of some degree i <= n/2, and then gcd(x^(p^i) - x, f) != 1."""
+    h = [0, 1]   # x^(p^i) mod f over F_p
+    for _ in range((len(f) - 1) // 2):
+        # over F_p, h(x)^p = h(x^p): spread the coefficients p apart
+        power = [0] * (p * len(h) - p + 1)
+        power[::p] = h
+        h = _rem_mod(power, f, p)
+        a, b = f, _strip([c - (i == 1) for i, c in enumerate(h + [0] * (2 - len(h)))])
+        while b:
+            a, b = b, _rem_mod(a, b, p)
+        if len(a) > 1:
+            return False
+    return True
 
 
 _FRESH_NAMES = ("theta", "omega", "zeta", "eta", "xi")

@@ -1,7 +1,10 @@
 """Exact arithmetic layer: field elements, polynomials, parsing, gcd, roots."""
 
 import math
+import random
 import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,7 +38,9 @@ from folindex.exactcore import (
     _univariate_coeffs,
 )
 
-from conftest import P2, V2
+from folindex import exactcore
+
+from conftest import P2, V2, subprocess_env
 
 SQRT2 = FieldDescriptor.simple_extension("r", [Fraction(-2), Fraction(0), Fraction(1)])
 SQRT3 = FieldDescriptor.simple_extension("s", [Fraction(-3), Fraction(0), Fraction(1)])
@@ -209,8 +214,8 @@ def test_factor_univariate_refuses_only_when_sympy_cannot_factor(monkeypatch, de
     from sympy.polys.polyerrors import DomainError
     from sympy.polys.rings import PolyElement
 
-    # degree 3: over QQ a degree <= 2 input is factored in closed form
-    coeffs = [fe(-3, desc), fe(0, desc), fe(0, desc), fe(1, desc)]
+    # x^4 + 1: reducible mod every prime, so over QQ no certificate decides it
+    coeffs = [fe(1, desc), fe(0, desc), fe(0, desc), fe(0, desc), fe(1, desc)]
     for raised, seen in ((DomainError, ExtensionRequiredError), (TypeError, TypeError)):
         def failing(self, raised=raised):
             raise raised("from factor_list")
@@ -218,6 +223,58 @@ def test_factor_univariate_refuses_only_when_sympy_cannot_factor(monkeypatch, de
         monkeypatch.setattr(PolyElement, "factor_list", failing)
         with pytest.raises(seen):
             factor_univariate(coeffs, desc)
+
+
+def test_factor_univariate_matches_sympy_on_random_products(monkeypatch):
+    # 300 seeded products of 1-3 random integer factors of degree 1-4 with
+    # coefficients in [-4, 4], a factor sometimes repeated: the factors, their
+    # multiplicities and their order are sympy's factor_list over QQ, whether
+    # the certificate settles the product or sympy decides it
+    from sympy import Poly, Symbol
+
+    z = Symbol("z")
+    settled = []
+    certify = exactcore._factor_qq
+    monkeypatch.setattr(exactcore, "_factor_qq",
+                        lambda coeffs: settled.append(certify(coeffs)) or settled[-1])
+    rng = random.Random(22)
+    for _ in range(300):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            if factors and rng.random() < 0.25:
+                factors.append(rng.choice(factors))
+                continue
+            lead = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+            factors.append(Poly([lead] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))],
+                                z, domain="QQ"))
+        product = math.prod(factors[1:], start=factors[0])
+        coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(product.all_coeffs())]
+        unit, got = factor_univariate(coeffs, QQ)
+        _, expected = product.factor_list()
+        assert unit == fe(coeffs[-1])
+        assert got == [([fe(Fraction(int(c.numerator), int(c.denominator)))
+                         for c in reversed(f.monic().all_coeffs())], m) for f, m in expected], coeffs
+    # sympy decided some products, and a mod-p certificate settled others
+    assert None in settled
+    assert any(len(fac) >= 5 for r in settled if r for fac, _ in r)
+    assert any(m > 1 for r in settled if r for _, m in r)
+
+
+def test_simple_extension_certifies_without_sympy():
+    # x^3 - 2 has no rational root; Phi_7 is irreducible mod 3
+    check = ("import sys\n"
+             "from folindex.exactcore import FieldDescriptor\n"
+             "assert FieldDescriptor.simple_extension('t', [-2, 0, 0, 1]).degree == 3\n"
+             "assert FieldDescriptor.simple_extension('t', [1] * 7).degree == 6\n"
+             "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", check], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # (x^2 + 1)(x^2 + 2) has no rational root and is reducible mod every
+    # prime, so sympy decides it, and refuses it
+    assert exactcore._factor_qq([Fraction(c) for c in (2, 0, 3, 0, 1)]) is None
+    with pytest.raises(PreconditionError, match="not irreducible"):
+        FieldDescriptor.simple_extension("t", [2, 0, 3, 0, 1])
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
