@@ -59,7 +59,7 @@ def _make_record(f):
     if m == 0:
         raise PreconditionError("curve does not pass through the origin")
     curve = _LocalCurve(f)
-    mu = curve.milnor()   # its gcd test proves the curve reduced at the origin
+    mu = curve.milnor()   # a finite mu proves the curve reduced at the origin
     summary = _adaptive(
         curve, lambda bs: tuple((b.multiplicity, b.conjugacy_size) for b in bs))
     return CurveRecord(key=f.to_str(), mult=m, mu=mu, branch_summary=summary, curve=curve)

@@ -102,11 +102,10 @@ class _LocalCurve:
     The first expansion needs a proof that the curve passes through the
     origin and is reduced there.  Computing the Milnor number ``mu`` (at
     most once; a lift to a larger field keeps it) gives that proof, since
-    ``milnor_number`` runs the square-free gcd test before Fulton's
-    recursion; else the first expansion runs that gcd test itself, as
-    ``puiseux.branches`` does.  Each precision is expanded at most once,
-    and one that failed to certify fails again without being expanded
-    again.
+    ``milnor_number`` is finite only on a reduced germ; else the first
+    expansion runs the square-free gcd test, as ``puiseux.branches`` does.
+    Each precision is expanded at most once, and one that failed to
+    certify fails again without being expanded again.
     """
 
     def __init__(self, poly, mu=None):
@@ -227,8 +226,8 @@ def gsv_index(v, f):
 
 def _gsv(v, curve):
     fl = _tangent_equation(v, curve)
-    # mu before any expansion: its gcd test proves the curve reduced, so the
-    # expansion runs no second one
+    # mu before any expansion: a finite mu proves the curve reduced, so the
+    # expansion runs no gcd test
     mu = curve.milnor()
     eu = _pairing(v, curve, fl)
     m = curve_multiplicity(curve.poly, _ORIGIN)
@@ -283,10 +282,16 @@ def log_index(v, basis):
     by Cramer's rule; the determinant is a unit times the divisor, and the
     unit is dropped since it does not change the ideal.
     """
+    return _log_index(v, basis)
+
+
+def _log_index(v, basis, ambient_ph=None):
+    """``log_index``, given the Poincare-Hopf index when the caller has it."""
     chi1, chi2, f = basis.chi1, basis.chi2, basis.divisor
     saito_check(chi1, chi2, f)
     fl = _curve_over(v, f)
-    ambient_ph = ph_index(v).value
+    if ambient_ph is None:
+        ambient_ph = ph_index(v).value
     a, b = v.components
     a1, b1 = chi1.components
     a2, b2 = chi2.components
@@ -320,7 +325,7 @@ def _one_branch(bs):
 def mu_along_curve(v, curve):
     """Multiplicity of the field along an irreducible invariant curve germ."""
     local = _LocalCurve(_curve_over(v, curve))
-    local.milnor()   # the GSV index needs mu, whose gcd test proves the curve reduced
+    local.milnor()   # the GSV index needs mu, which proves the curve reduced
     if not _adaptive(local, _one_branch):
         raise PreconditionError("curve germ is not irreducible")
     # the Euler obstruction starts from the branches just expanded

@@ -4,6 +4,12 @@ The central routine is an exact recursion on the defining equations that
 evaluates the colength of the ideal (f, g) in the local ring at a point.
 It is field-agnostic and independent of the series-expansion machinery,
 which lets the two act as oracles for each other in the test suite.
+
+The recursion runs on both axis orders in lockstep, since high contact
+along one axis can cost thousands of steps in one order and a few in the
+other.  A finite colength proves that f and g share no component through
+the point (for a Milnor number, that the curve is reduced there); one gcd
+is the fallback, when neither order has finished after a few steps.
 """
 
 from .exactcore import (
@@ -21,7 +27,11 @@ from .exactcore import (
 
 INFINITE = _Sentinel("INFINITE")
 
+# Steps allowed to each axis order of Fulton's recursion, and the steps
+# per order after which the gcd fallback runs (every corpus call finishes
+# within 7).
 _DEPTH_CAP = 10 ** 4
+_LOCKSTEP_STEPS = 16
 
 
 class LocalMultiplicity:
@@ -62,16 +72,21 @@ def _origin_value(f):
 
 
 def _fulton(f, g, x, y):
+    """Fulton's recursion (Algebraic Curves, sec. 3.3) on germs at the
+    origin, restricting to y = 0: a generator of at most _DEPTH_CAP + 1
+    items, None after each step and last the colength of (f, g), INFINITE
+    when y divides both.  Another shared component keeps it going."""
     total = 0
     for _ in range(_DEPTH_CAP + 1):
         if _origin_value(f) is not None or _origin_value(g) is not None:
-            return total
+            yield total
+            return
         f0 = _restriction(f, x, y)
         g0 = _restriction(g, x, y)
         if not f0 and not g0:
-            # both divisible by y: a common component through the origin, which
-            # the up-front gcd test already excluded
-            raise PreconditionError("internal: common factor survived the gcd test")
+            # y divides f and g: a common component through the origin
+            yield INFINITE
+            return
         if not f0:
             f, g = g, f
             f0, g0 = g0, f0
@@ -79,16 +94,34 @@ def _fulton(f, g, x, y):
             # g = y * q, and I(y, f) is the x-order of f on the y = 0 axis
             total += _ord(f0)
             g = divexact(g, MultiPoly.variable(y, f.variables, f.descriptor))
-            continue
-        r, fr = _lead(f0)
-        s, gs = _lead(g0)
-        if r > s:
-            f, g = g, f
-            (r, fr), (s, gs) = (s, gs), (r, fr)
-        # kill the top x-coefficient of g's restriction; scaling by the nonzero
-        # constant fr and adding a multiple of f both leave the colength fixed
-        shift = MultiPoly.variable(x, f.variables, f.descriptor) ** (s - r)
-        g = g * fr - f * shift * gs
+        else:
+            r, fr = _lead(f0)
+            s, gs = _lead(g0)
+            if r > s:
+                f, g = g, f
+                (r, fr), (s, gs) = (s, gs), (r, fr)
+            # kill the top x-coefficient of g's restriction; scaling by the
+            # nonzero constant fr and adding a multiple of f both leave the
+            # colength fixed
+            shift = MultiPoly.variable(x, f.variables, f.descriptor) ** (s - r)
+            g = g * fr - f * (shift * gs)
+        yield None
+
+
+def _colength(f, g, shared):
+    """The colength of (f, g) at the origin from whichever axis order of
+    Fulton's recursion finishes first, the two run in lockstep.  When
+    neither has finished after _LOCKSTEP_STEPS steps, ``shared()`` runs
+    once and a True (a component through the origin) means INFINITE."""
+    x, y = f.variables
+    runs = (_fulton(f, g, x, y), _fulton(f, g, y, x))
+    for step in range(_DEPTH_CAP + 1):
+        if step == _LOCKSTEP_STEPS and shared():
+            return INFINITE
+        for run in runs:
+            value = next(run)
+            if value is not None:
+                return value
     raise ResourceCapError(
         f"intersection-multiplicity recursion exceeded {_DEPTH_CAP} steps")
 
@@ -97,7 +130,9 @@ def intersection_multiplicity(f, g, p):
     """Colength of (f, g) in the local ring at p; INFINITE on shared components.
 
     Symmetric in f and g.  The value is 0 exactly when one of the curves
-    misses p, and INFINITE exactly when gcd(f, g) vanishes at p.
+    misses p, and INFINITE exactly when gcd(f, g) vanishes at p.  A finite
+    value is its own proof of no shared component through p; the gcd is
+    only the fallback of ``_colength``.
     """
     if f.is_zero or g.is_zero:
         raise PreconditionError("intersection multiplicity of the zero polynomial")
@@ -107,22 +142,18 @@ def intersection_multiplicity(f, g, p):
     ft = translate_to_origin(f, p)
     gt = translate_to_origin(g, p)
     ft, gt = ft._pair(gt)
-    common = gcd(ft, gt)
-    if not common.is_constant and _origin_value(common) is None:
-        return LocalMultiplicity(INFINITE)
-    x, y = ft.variables
-    value = _fulton(ft, gt, x, y)
-    return LocalMultiplicity(value)
+    # gcd(ft, gt) is never 0, and a nonzero constant has a constant term
+    return LocalMultiplicity(_colength(ft, gt, lambda: _origin_value(gcd(ft, gt)) is None))
 
 
 def milnor_number(f, p):
     """Colength of the Jacobian ideal of f at the point p on V(f).
 
-    0 exactly at smooth points.  At a singular point the one ``gcd`` of
-    ``squarefree_at`` proves f reduced there (else NonReducedError); then
-    f_x and f_y share no component through p (Milnor 1968), and Fulton's
-    recursion runs on them directly.  So a value proves the curve passes
-    through p and is reduced there.
+    0 exactly at smooth points.  At a singular point it is finite exactly
+    when f is reduced there (Milnor 1968), so a value proves the curve
+    passes through p and is reduced there, and INFINITE raises
+    NonReducedError.  The gcd of ``squarefree_at`` is only the fallback of
+    ``_colength``.
     """
     point = {v: c for v, c in zip(f.variables, p)}
     if not f.evaluate(point).is_zero:
@@ -130,9 +161,11 @@ def milnor_number(f, p):
     fx, fy = (f.diff(v) for v in f.variables)
     if any(not d.evaluate(point).is_zero for d in (fx, fy)):
         return 0
-    if not squarefree_at(f, p):
+    mu = _colength(*(translate_to_origin(d, p) for d in (fx, fy)),
+                   lambda: not squarefree_at(f, p))
+    if mu is INFINITE:
         raise NonReducedError("curve is not reduced at the point")
-    return _fulton(*(translate_to_origin(d, p) for d in (fx, fy)), *f.variables)
+    return mu
 
 
 def curve_multiplicity(f, p):

@@ -47,7 +47,8 @@ from .foliation import (
     localize,
     singular_points,
 )
-from .indices import _gsv, _LocalCurve, _schwartz_of, auto_saito_basis, log_index, ph_index
+from .indices import (_gsv, _LocalCurve, _log_index, _schwartz_of, auto_saito_basis, log_index,
+                      ph_index)
 
 
 class GlobalReport:
@@ -224,7 +225,7 @@ def verify_isolated(foliation, H):
             per.append((name, "GSV", -w * gsv.value))
         else:
             basis = _saito_basis_at(germ.poly, p)
-            per.append((name, "LOG", w * log_index(v, basis).value))
+            per.append((name, "LOG", w * _log_index(v, basis, ph).value))
     for q, germ in dsing.values():
         mu_total += q.conjugacy_size * germ.milnor()
     rhs_schwartz += mu_total

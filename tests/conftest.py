@@ -80,8 +80,8 @@ def localization_counts(monkeypatch):
         expanded[(f, budget)] += 1
         return real_expand(f, budget, ctx)
 
-    # milnor_number runs squarefree_at as its proof, so the calls from
-    # localmult are not counted again
+    # a Milnor number is counted as a proof, so the fallback squarefree_at
+    # calls from localmult are not counted again
     for real in (exactcore.squarefree_at, localmult.milnor_number):
         check = counted(real)
         for name, module in list(sys.modules.items()):

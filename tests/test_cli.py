@@ -5,6 +5,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,6 +77,41 @@ def test_deep_fulton_recursion_answers(tmp_path):
     code, payload = run(tmp_path, ["index", "--kind", "ph"], doc)
     assert code == 0
     assert payload["value"] == "1440000"
+
+
+def _deep_contact(a, da, k, x):
+    """(f_x, f_y) as text for f = A*(A - x^k), where A is the text ``a``
+    with derivatives ``da`` = (A_x, A_y) and ``x`` one of the variables."""
+    b = f"({a} - {x}^{k})"
+    db = [f"({d} - {k}*{x}^{k - 1})" if v == x else f"({d})" for v, d in zip("xy", da)]
+    return [f"({d})*{b} + ({a})*{e}" for d, e in zip(da, db)]
+
+
+DEEP_X30 = ("(y - x^2 - y^2)", ("-2*x", "1 - 2*y"), 30, "x")
+DIAG_X12 = ("(y - x - x^2)", ("-1 - 2*x", "1"), 12, "x")
+DIAG_Y12 = ("(x - y - y^2)", ("1", "-1 - 2*y"), 12, "y")
+
+
+@pytest.mark.parametrize("kind, germ, field, value", [
+    ("gsv", DEEP_X30, "hamiltonian", "0"),
+    ("schwartz", DEEP_X30, "hamiltonian", "59"),
+    ("ph", DIAG_X12, "gradient", "23"),
+    ("ph", DIAG_Y12, "gradient", "23"),
+], ids=["gsv-x30", "schwartz-x30", "ph-diagonal-x12", "ph-mirror-y12"])
+def test_deep_contact_germs_answer_within_seconds(tmp_path, kind, germ, field, value):
+    # f = A*(A - x^k), two smooth branches with contact k: a Fulton recursion
+    # that only restricts to y = 0 takes minutes on some of these
+    a, da, k, x = germ
+    fx, fy = _deep_contact(a, da, k, x)
+    components = [fy, f"-({fx})"] if field == "hamiltonian" else [fx, fy]
+    doc = {"variables": ["x", "y"],
+           "germ": {"vector_field": components, "divisor": f"{a}*({a} - {x}^{k})"}}
+    start = time.perf_counter()
+    proc = _run_cli(["index", "--kind", kind, "--input", write_problem(tmp_path, doc)])
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{kind.upper()} = {value}\n"), proc.stdout
+    assert elapsed < 5, f"{elapsed:.1f} s"
 
 
 def test_puiseux_report(tmp_path):

@@ -712,6 +712,47 @@ def test_every_result_meets_the_checked_invariants(d1, d2, data):
             assert q * b == a
 
 
+@st.composite
+def fraction_polys(draw, desc):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        k = (draw(st.integers(min_value=0, max_value=3)), draw(st.integers(min_value=0, max_value=3)))
+        terms[k] = FieldElem(desc, [draw(rationals) for _ in range(desc.degree)])
+    return MultiPoly(V2, desc, terms)
+
+
+def _schoolbook(a, b):
+    """The terms of a*b, summed in first-occurrence order, zeros dropped last."""
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            k = (ka[0] + kb[0], ka[1] + kb[1])
+            out[k] = out[k] + ca * cb if k in out else ca * cb
+    return [(k, c) for k, c in out.items() if not c.is_zero]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, SQRT2]), st.data())
+def test_products_powers_and_derivatives_match_the_termwise_model(desc, data):
+    """Each product path (a one-term side, integer numerators over Q, the
+    field kernel over Q(sqrt 2)) gives the schoolbook terms in their
+    first-occurrence order, on coefficients with denominators."""
+    a, b = data.draw(fraction_polys(desc)), data.draw(fraction_polys(desc))
+    mono = MultiPoly(V2, desc, dict(list(b.terms.items())[:1]))
+    for p, q in ((a, b), (b, a), (a, a), (a, mono), (mono, a)):
+        product = p * q
+        _assert_clean_poly(product, desc)
+        assert list(product.terms.items()) == _schoolbook(p, q)
+    _assert_clean_poly(mono ** 3, desc)
+    assert list((mono ** 3).terms.items()) == list((mono * mono * mono).terms.items())
+    for i, v in enumerate(V2):
+        d = a.diff(v)
+        _assert_clean_poly(d, desc)
+        assert list(d.terms.items()) == [
+            (tuple(e - (j == i) for j, e in enumerate(k)), c * k[i])
+            for k, c in a.terms.items() if k[i]]
+
+
 # ------------------------------------- integer kernels against a Fraction model
 
 # degrees 2 to 7, integral and not

@@ -62,8 +62,8 @@ def test_a_precision_that_failed_fails_again_without_expanding(localization_coun
 
 @pytest.mark.parametrize("k", [18, 30])
 def test_euler_obstruction_proves_reducedness_without_a_milnor_number(k, monkeypatch):
-    # mu = 2k - 1 takes Fulton's recursion on (f_x, f_y) seconds at k = 18
-    # and more than 20 s at k = 30; the square-free test takes milliseconds
+    # the Euler obstruction needs no mu = 2k - 1: its expansion proves the
+    # curve reduced by the square-free test alone
     def no_milnor(f, p):
         raise AssertionError("the Euler obstruction computed a Milnor number")
 

@@ -1,11 +1,16 @@
 """Local intersection numbers: axioms, known germs, and a dual oracle."""
 
+import json
+import pathlib
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from folindex.exactcore import NonReducedError, PreconditionError, divides
+import folindex.cli as cli
+import folindex.localmult as localmult
+from folindex.exactcore import MultiPoly, NonReducedError, PreconditionError, divides
 from folindex.localmult import (
     INFINITE,
     curve_multiplicity,
@@ -87,6 +92,65 @@ def test_vanishing_dichotomy(f):
         assert v >= 1
     else:
         assert v == 0
+
+
+def _swapped(f):
+    return MultiPoly(f.variables, f.descriptor, {(j, i): c for (i, j), c in f.terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys())
+def test_swapping_the_axes_keeps_the_number(f, g):
+    if f.is_zero or g.is_zero:
+        return
+    assert I0(_swapped(f), _swapped(g)) == I0(f, g)
+
+
+# ------------------------------------------------------ finiteness decision
+
+@pytest.mark.parametrize("f, g", [
+    # y divides both: this pair raised an "internal" error before
+    ("y*(x - y^2)", "y*(x + y)"),
+    ("(y - x^2)*(x + y)", "(y - x^2)*(x - y)"),
+    ("x*(x - y^3)", "x*(x + y^5)"),
+])
+def test_a_shared_component_through_the_origin_is_infinite(f, g):
+    assert I0(P2(f), P2(g)) == INF
+
+
+def test_a_shared_component_away_from_the_origin_is_not():
+    assert I0(P2("(y - 1)*x"), P2("(y - 1)*(y - x^2)")) == 1
+
+
+@pytest.mark.parametrize("text", ["(y^2 - x^3)^2", "x*(y - x^2)^2", "(y - x^2)^2*(x + y)"])
+def test_milnor_number_refuses_a_repeated_component_quickly(text):
+    start = time.perf_counter()
+    with pytest.raises(NonReducedError, match="curve is not reduced at the point"):
+        milnor_number(P2(text), ORIGIN)
+    assert time.perf_counter() - start < 1
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+RECURSION_ENTRIES = [e for e in json.loads((CORPUS / "manifest.json").read_text())["entries"]
+                     if e["argv"][0] in ("index", "verify", "confun")]
+
+
+def test_the_corpus_never_reaches_the_gcd_fallback(monkeypatch, tmp_path):
+    """Every corpus colength is decided by the recursion itself: with the
+    fallback's gcd and square-free test refused, each index, verify and
+    confun report is still reproduced byte for byte."""
+    def refused(*args):
+        raise AssertionError("the gcd fallback ran")
+
+    monkeypatch.setattr(localmult, "gcd", refused)
+    monkeypatch.setattr(localmult, "squarefree_at", refused)
+    out = tmp_path / "report.json"
+    for entry in RECURSION_ENTRIES:
+        code = cli.main([*entry["argv"], "--input", str(CORPUS / entry["problem"]),
+                         "--json", str(out)])
+        assert code == 0, entry["name"]
+        assert out.read_bytes() == (CORPUS / entry["report"]).read_bytes(), entry["name"]
+    assert len(RECURSION_ENTRIES) == 46
 
 
 # ------------------------------------------------------------- milnor / mult

@@ -1,13 +1,12 @@
 """A finite Milnor number and the gcd test ``squarefree_at`` prove the
 same germs reduced.
 
-``milnor_number`` takes the one gcd of ``squarefree_at`` as its proof
-before Fulton's recursion: a component through the point shared by f_x
-and f_y is one along which f is constant, hence zero, and singular,
-hence repeated, so the colength is infinite exactly when the curve is
-not reduced there.  An index that needs mu takes it as the proof, and
-one that does not runs the gcd test alone, so the two must agree on
-every germ.
+A finite ``milnor_number`` is its own proof, with ``squarefree_at`` as
+its fallback: a component through the point shared by f_x and f_y is one
+along which f is constant, hence zero, and singular, hence repeated, so
+the colength is infinite exactly when the curve is not reduced there.
+An index that needs mu takes it as the proof, and one that does not runs
+the gcd test alone, so the two must agree on every germ.
 """
 
 import random
