@@ -179,9 +179,9 @@ class FieldDescriptor:
 
     ``minimal_polynomial`` is a monic coefficient tuple (constant term first)
     of degree d >= 2, present only for extensions.  ``simple_extension`` proves
-    it irreducible over Q (by ``_factor_qq``'s certificate, else by sympy) and
-    refuses it otherwise, since a reducible one presents a ring with zero
-    divisors, not a field.
+    it irreducible over Q with ``factor_univariate`` (``_factor_qq``'s
+    certificate, else sympy) and refuses it otherwise, since a reducible one
+    presents a ring with zero divisors, not a field.
 
     ``reduction_rows`` and ``reduction_den`` serve the integer product of
     FieldElem: row k holds the integer coordinates of
@@ -221,15 +221,8 @@ class FieldDescriptor:
             raise PreconditionError("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise PreconditionError("minimal polynomial must be monic")
-        factors = _factor_qq(coeffs)
-        if factors is None:   # no certificate: sympy decides
-            from sympy import QQ as SQQ
-            from sympy.polys.rings import ring
-
-            reducible = not ring("_g", SQQ)[0].from_list(_sympy_qq(coeffs)).is_irreducible
-        else:
-            reducible = len(factors) > 1 or factors[0][1] > 1
-        if reducible:
+        _, factors = factor_univariate(coeffs, _QQ)
+        if len(factors) > 1 or factors[0][1] > 1:
             raise PreconditionError("minimal polynomial is not irreducible over Q")
         # g^d = -(m_0 + ... + m_(d-1) g^(d-1)); each next power shifts the
         # row up and folds its top coordinate back in through g^d
@@ -945,8 +938,74 @@ _set_variables, _set_poly_descriptor, _set_terms = (
 
 
 # ---------------------------------------------------------------------------
-# Substitution and translation
+# Composition: substitution, translation, orders along a branch
 # ---------------------------------------------------------------------------
+
+def _below(poly, cut):
+    """The terms of a polynomial in one variable t of degree below ``cut``
+    (all of them when ``cut`` is None)."""
+    if cut is None:
+        return poly
+    return MultiPoly._make(poly.variables, poly.descriptor,
+                           {k: c for k, c in poly.terms.items() if k[0] < cut})
+
+
+def _composite(poly, targets, cut=None):
+    """``poly`` with its i-th variable replaced by ``targets[i]``: the one
+    composition kernel, behind :func:`substitute`, :func:`translate_to_origin`
+    and every order along a branch.
+
+    The targets are polynomials over one variable list, which the composite
+    takes, and over fields that join with poly's.  Powers are built only
+    for the exponents that occur in poly, and those of a one-term (or zero)
+    target directly, c^e m^e, so a target of x^(10^8) costs one power.
+    With ``cut`` (at least 1) the targets are polynomials in one variable t
+    and the cut is made while composing: every power and every product
+    keeps only its terms below t^cut, so nothing past the truncation is
+    built.  Without it the products are MultiPoly products.
+    """
+    desc = _join(poly.descriptor, *(t.descriptor for t in targets))
+    variables = targets[0].variables
+    one = MultiPoly._make(variables, desc, {(0,) * len(variables): FieldElem._make(desc, (1,), 1)})
+
+    def times(a, b):
+        if cut is None:
+            return a * b
+        out = {}
+        for (ea,), ca in a.terms.items():
+            for (eb,), cb in b.terms.items():
+                e = ea + eb
+                if e < cut:
+                    v = ca * cb
+                    out[(e,)] = out[(e,)] + v if (e,) in out else v
+        return MultiPoly._make(variables, desc, {k: v for k, v in out.items() if v.nums})
+
+    powers = []
+    for i, target in enumerate(targets):
+        target = target.lift(desc)
+        wanted = {k[i] for k in poly.terms}
+        if len(target.terms) <= 1:
+            # a one-term target c m (or zero): its e-th power is c^e m^e
+            pw = {0: one}
+            for e in wanted - {0}:
+                pw[e] = MultiPoly._make(variables, desc, {
+                    tuple(a * e for a in k): c ** e for k, c in target.terms.items()
+                    if cut is None or k[0] * e < cut})
+        else:
+            pw = [one, _below(target, cut)]
+            for _ in range(max(wanted, default=0) - 1):
+                pw.append(times(pw[-1], target))
+        powers.append(pw)
+    acc = {}
+    for k, c in poly.terms.items():
+        term = one
+        for pw, e in zip(powers, k):
+            if e:
+                term = pw[e] if term is one else times(term, pw[e])
+        c = c.lift(desc)
+        _accumulate(acc, ((m, c * d) for m, d in term.terms.items()))
+    return MultiPoly._make(variables, desc, acc)
+
 
 def substitute(poly, assignment):
     """Evaluate ``poly`` with every variable replaced per ``assignment``.
@@ -958,36 +1017,15 @@ def substitute(poly, assignment):
     for v in poly.variables:
         if v not in assignment:
             raise PreconditionError(f"variable {v!r} is not assigned")
-    targets = {v: assignment[v] for v in poly.variables}
-    desc = _join(poly.descriptor, *(t.descriptor for t in targets.values()
-                                    if isinstance(t, (FieldElem, MultiPoly))))
-    polys = [t for t in targets.values() if isinstance(t, MultiPoly)]
+    targets = [assignment[v] for v in poly.variables]
+    polys = [t for t in targets if isinstance(t, MultiPoly)]
     if not polys:
         raise PreconditionError("assignment contains no polynomial target")
     variables = polys[0].variables
     if any(t.variables != variables for t in polys):
         raise DescriptorMismatchError("polynomial targets over different variable lists")
-
-    def coerce(t):
-        return t.lift(desc) if isinstance(t, MultiPoly) else MultiPoly.constant(t, variables, desc)
-
-    one = coerce(1)
-    powers = {}
-    for v in poly.variables:
-        pw = [one]
-        target = coerce(targets[v])
-        for _ in range(max(poly.degree_in(v), 0)):
-            pw.append(pw[-1] * target)
-        powers[v] = pw
-    acc = {}
-    for k, c in poly.terms.items():
-        term = one
-        for v, e in zip(poly.variables, k):
-            if e:
-                term = powers[v][e] if term is one else term * powers[v][e]
-        c = c.lift(desc)
-        _accumulate(acc, ((m, c * d) for m, d in term.terms.items()))
-    return MultiPoly._make(variables, desc, acc)
+    return _composite(poly, [t if isinstance(t, MultiPoly) else MultiPoly.constant(t, variables)
+                             for t in targets])
 
 
 def translate_to_origin(poly, point):
@@ -1002,8 +1040,8 @@ def translate_to_origin(poly, point):
     desc = _join(poly.descriptor, *(c.descriptor for c in coords))
     if coords and all(c.is_zero for c in coords):
         return poly.lift(desc)
-    return substitute(poly, {v: MultiPoly.variable(v, poly.variables, desc) + c
-                             for v, c in zip(poly.variables, coords)})
+    return _composite(poly, [MultiPoly.variable(v, poly.variables, desc) + c
+                             for v, c in zip(poly.variables, coords)])
 
 
 # ---------------------------------------------------------------------------

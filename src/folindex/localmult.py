@@ -20,7 +20,6 @@ from .exactcore import (
     squarefree_at,
     translate_to_origin,
     gcd,
-    divexact,
     _Sentinel,
 )
 
@@ -91,20 +90,24 @@ def _fulton(f, g, x, y):
             f, g = g, f
             f0, g0 = g0, f0
         if not g0:
-            # g = y * q, and I(y, f) is the x-order of f on the y = 0 axis
+            # g = y * q, and I(y, f) is the x-order of f on the y = 0 axis;
+            # every term of g has a factor y, so q is an exponent shift
             total += _ord(f0)
-            g = divexact(g, MultiPoly.variable(y, f.variables, f.descriptor))
+            di, dj = (0, 1) if g.variables[1] == y else (1, 0)
+            g = MultiPoly._make(g.variables, g.descriptor,
+                                {(i - di, j - dj): c for (i, j), c in g.terms.items()})
         else:
             r, fr = _lead(f0)
             s, gs = _lead(g0)
             if r > s:
                 f, g = g, f
                 (r, fr), (s, gs) = (s, gs), (r, fr)
-            # kill the top x-coefficient of g's restriction; scaling by the
-            # nonzero constant fr and adding a multiple of f both leave the
-            # colength fixed
-            shift = MultiPoly.variable(x, f.variables, f.descriptor) ** (s - r)
-            g = g * fr - f * (shift * gs)
+            # kill the top x-coefficient of g's restriction by subtracting
+            # (gs / fr) x^(s - r) f, which leaves the colength fixed; the
+            # division keeps the coefficients small where scaling g by fr
+            # would let them grow at every step
+            shift = (s - r, 0) if f.variables[0] == x else (0, s - r)
+            g = g - f * MultiPoly._make(f.variables, f.descriptor, {shift: gs / fr})
         yield None
 
 

@@ -44,9 +44,11 @@ from .exactcore import (
     NonReducedError,
     NonTangentError,
     PreconditionError,
+    QQ,
     ResourceCapError,
     _Sentinel,
-    _accumulate,
+    _below,
+    _composite,
     _fresh_field,
     _join,
     _rational_root,
@@ -60,6 +62,10 @@ _DEPTH_CAP = 1000
 
 
 ZERO_UP_TO_TRUNCATION = _Sentinel("ZERO_UP_TO_TRUNCATION")
+
+# a*b - c*d, composed with (a(t), y'(t), b(t), x'(t)) in nash_lift_order:
+# zero exactly when the field (a, b) is tangent to the branch
+_CROSS = MultiPoly(("a", "b", "c", "d"), QQ, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
 
 
 class InsufficientPrecisionError(PreconditionError):
@@ -112,14 +118,6 @@ def series_text(poly, n):
         mono = "t" if e == 1 else f"t^{e}"
         parts.append(cs if e == 0 else mono if cs == "1" else f"{cs}*{mono}")
     return f"{' + '.join(parts) or '0'} + O(t^{n})"
-
-
-def _below(poly, n):
-    """The terms of a polynomial in t of degree below n (all when n is None)."""
-    if n is None:
-        return poly
-    return MultiPoly._make(poly.variables, poly.descriptor,
-                           {k: c for k, c in poly.terms.items() if k[0] < n})
 
 
 def _t_order(poly):
@@ -391,7 +389,7 @@ def _residual(f, phi):
     to coefficient): the remainder of f divided by y - psi, zero exactly
     when psi is the root."""
     psi = MultiPoly._make(("t",), f.descriptor, {(e,): c for e, c in phi.items()})
-    return _along(f, MultiPoly.variable("t", ("t",), f.descriptor), psi, None)
+    return _composite(f, (MultiPoly.variable("t", ("t",), f.descriptor), psi))
 
 
 def _assemble(path, precision, point, variables):
@@ -434,57 +432,7 @@ def _compose(g, branch, n):
     """g along the branch: g(x_poly, y_poly), without the terms of degree
     >= n unless the branch is exact.  g is in the branch's variables and
     over a field that joins with the branch's."""
-    return _along(g, branch.x_poly, branch.y_poly, None if branch.exact else n)
-
-
-def _along(g, xp, yp, cut):
-    """g(xp, yp) for polynomials xp, yp in t, without the terms of degree
-    >= ``cut`` unless ``cut`` is None.
-
-    The cut is made while composing: every power of xp and yp, and every
-    product of two, keeps only its terms below t^cut, so nothing past the
-    truncation is built.  An expansion's x_poly is a monomial t^r (or 0),
-    whose powers are monomials and whose products are exponent shifts.
-    """
-    desc = _join(g.descriptor, xp.descriptor, yp.descriptor)
-    xs = _powers(xp.lift(desc), {k[0] for k in g.terms}, cut)
-    ys = _powers(yp.lift(desc), {k[1] for k in g.terms}, cut)
-    acc = {}
-    for (i, j), c in g.terms.items():
-        c = c.lift(desc)
-        term = _times(xs[i], ys[j], cut) if i else ys[j]
-        _accumulate(acc, ((k, c * v) for k, v in term.terms.items()))
-    return MultiPoly._make(("t",), desc, acc)
-
-
-def _powers(poly, wanted, cut):
-    """{e: poly^e cut below t^cut} for the exponents e in ``wanted``."""
-    one = MultiPoly.constant(1, ("t",), poly.descriptor)
-    if len(poly.terms) <= 1:
-        # a monomial c t^r (or zero): its e-th power is c^e t^(r e)
-        return {e: _below(MultiPoly._make(("t",), poly.descriptor,
-                                          {(k[0] * e,): c ** e for k, c in poly.terms.items()}),
-                          cut) if e else one
-                for e in wanted}
-    out, pw = {0: one}, one
-    for e in range(1, max(wanted, default=0) + 1):
-        pw = _times(pw, poly, cut)
-        out[e] = pw
-    return out
-
-
-def _times(a, b, cut):
-    """The product of two polynomials in t, without its terms of degree >=
-    ``cut`` unless ``cut`` is None."""
-    out = {}
-    for (ea,), ca in a.terms.items():
-        for (eb,), cb in b.terms.items():
-            e = ea + eb
-            if cut is None or e < cut:
-                v = ca * cb
-                out[(e,)] = out[(e,)] + v if (e,) in out else v
-    return MultiPoly._make(("t",), _join(a.descriptor, b.descriptor),
-                           {k: v for k, v in out.items() if v.nums})
+    return _composite(g, (branch.x_poly, branch.y_poly), None if branch.exact else n)
 
 
 def branches(f, p, precision):
@@ -583,7 +531,7 @@ def nash_lift_order(branch, v):
     av = _compose(_localized(a, branch), branch, n)
     bv = _compose(_localized(b, branch), branch, n)
     cut = None if branch.exact else n
-    if not (_times(av, yd, cut) - _times(bv, xd, cut)).is_zero:
+    if not _composite(_CROSS, (av, yd, bv, xd), cut).is_zero:
         raise NonTangentError("vector field is not tangent to the branch")
     o = _t_order(av if _t_order(xd) == branch.multiplicity - 1 else bv)
     if o is None:

@@ -114,6 +114,30 @@ def test_deep_contact_germs_answer_within_seconds(tmp_path, kind, germ, field, v
     assert elapsed < 5, f"{elapsed:.1f} s"
 
 
+# (y - x^5)*(y - x^5 - x^10)*(y + x^7): three smooth branches, two of them
+# with contact 10; its Hamiltonian field (f_y, -f_x)
+THREE_BRANCH_FY = ("(y - x^5 - x^10)*(y + x^7) + (y - x^5)*(y + x^7)"
+                   " + (y - x^5)*(y - x^5 - x^10)")
+THREE_BRANCH_FX = ("(-5*x^4)*(y - x^5 - x^10)*(y + x^7) + (y - x^5)*(-5*x^4 - 10*x^9)*(y + x^7)"
+                   " + (y - x^5)*(y - x^5 - x^10)*(7*x^6)")
+
+
+@pytest.mark.parametrize("kind, value", [("ph", "38"), ("gsv", "0")])
+def test_three_branch_germ_answers_within_seconds(tmp_path, kind, value):
+    # a Fulton step that scales g by the leading coefficient of f, instead
+    # of dividing by it, lets the coefficients grow at each of its 118 steps
+    # here, and no answer comes within a minute
+    doc = {"variables": ["x", "y"],
+           "germ": {"vector_field": [THREE_BRANCH_FY, f"-({THREE_BRANCH_FX})"],
+                    "divisor": "(y - x^5)*(y - x^5 - x^10)*(y + x^7)"}}
+    start = time.perf_counter()
+    proc = _run_cli(["index", "--kind", kind, "--input", write_problem(tmp_path, doc)])
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{kind.upper()} = {value}\n"), proc.stdout
+    assert elapsed < 5, f"{elapsed:.1f} s"
+
+
 def test_puiseux_report(tmp_path):
     code, payload = run(tmp_path, ["puiseux"], CUSP_HAM)
     assert code == 0

@@ -32,6 +32,8 @@ from folindex.exactcore import (
     try_divide,
     univariate_roots,
     _DENSE_WIDTH_CAP,
+    _below,
+    _composite,
     _join,
     _resultant_sympy,
     _sympy_ring,
@@ -41,6 +43,7 @@ from folindex.exactcore import (
 from folindex import exactcore
 
 from conftest import P2, V2, subprocess_env
+from test_cli import _cap_address_space
 
 SQRT2 = FieldDescriptor.simple_extension("r", [Fraction(-2), Fraction(0), Fraction(1)])
 SQRT3 = FieldDescriptor.simple_extension("s", [Fraction(-3), Fraction(0), Fraction(1)])
@@ -406,6 +409,20 @@ def test_substitute_swap_involution():
     assert substitute(f, swap) == P2("x^2 - y^3 + 2*x*y")
 
 
+def test_substitute_builds_only_the_powers_it_uses():
+    # a one-term target's power is c^e m^e, built once: the powers up to
+    # 10^8 of -x would not fit in the child's 1 GiB
+    check = ("from folindex.exactcore import parse_poly, substitute\n"
+             "V = ('x', 'y')\n"
+             "f = parse_poly('x^100000000*y', V)\n"
+             "print(substitute(f, {'x': parse_poly('-x', V), 'y': parse_poly('y', V)}))\n")
+    proc = subprocess.run([sys.executable, "-c", check], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "x^100000000*y\n"
+
+
 def test_translate_to_origin():
     f = P2("y^2 - x^3")
     g = translate_to_origin(f, (Fraction(1), Fraction(1)))
@@ -751,6 +768,35 @@ def test_products_powers_and_derivatives_match_the_termwise_model(desc, data):
         assert list(d.terms.items()) == [
             (tuple(e - (j == i) for j, e in enumerate(k)), c * k[i])
             for k, c in a.terms.items() if k[i]]
+
+
+@st.composite
+def t_polys(draw, desc):
+    """A polynomial in t: zero, one term, or dense (two to six terms)."""
+    size = draw(st.sampled_from([0, 1, draw(st.integers(min_value=2, max_value=6))]))
+    exps = draw(st.sets(st.integers(min_value=0, max_value=6), min_size=size, max_size=size))
+    nonzero = field_elems(desc).filter(lambda c: not c.is_zero)
+    return MultiPoly(("t",), desc, {(e,): draw(nonzero) for e in exps})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, SQRT2]), st.sampled_from([QQ, SQRT2]), st.data())
+def test_a_cut_composition_is_the_exact_one_cut(d1, d2, data):
+    """The composition kernel with a cut, which truncates every power and
+    product as it goes, keeps exactly the terms of the exact composite
+    below t^cut, for every cut up to past its degree; the exact composite
+    is the sum of the termwise products."""
+    desc = SQRT2 if SQRT2 in (d1, d2) else QQ
+    f = data.draw(field_polys(d1, max_degree=5))
+    xt, yt = data.draw(t_polys(d2)), data.draw(t_polys(d2))
+    exact = _composite(f, (xt, yt))
+    _assert_clean_poly(exact, desc)
+    assert exact == sum((c * xt ** i * yt ** j for (i, j), c in f.terms.items()),
+                        MultiPoly.zero(("t",), desc))
+    for cut in range(1, max((k[0] for k in exact.terms), default=0) + 2):
+        cut_composite = _composite(f, (xt, yt), cut)
+        _assert_clean_poly(cut_composite, desc)
+        assert cut_composite == _below(exact, cut), cut
 
 
 # ------------------------------------- integer kernels against a Fraction model

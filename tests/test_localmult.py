@@ -11,6 +11,7 @@ from hypothesis import given, settings
 import folindex.cli as cli
 import folindex.localmult as localmult
 from folindex.exactcore import MultiPoly, NonReducedError, PreconditionError, divides
+from folindex.indices import VectorFieldGerm, euler_obstruction_field
 from folindex.localmult import (
     INFINITE,
     curve_multiplicity,
@@ -154,6 +155,21 @@ def test_the_corpus_never_reaches_the_gcd_fallback(monkeypatch, tmp_path):
 
 
 # ------------------------------------------------------------- milnor / mult
+
+@pytest.mark.parametrize("k, j, mu", [(5, 7, 38), (10, 14, 78), (20, 28, 158), (50, 70, 398)])
+def test_three_branch_milnor_number_matches_the_euler_obstruction(k, j, mu):
+    """(y - x^k)(y - x^k - x^2k)(y + x^j): Fulton's steps work in the field,
+    so their coefficients stay small over the hundreds of steps it takes.
+    The Euler obstruction of the Hamiltonian field, read off the branches,
+    is mu + m - 1 (m the multiplicity), an oracle independent of Fulton's
+    recursion."""
+    f = P2(f"(y - x^{k})*(y - x^{k} - x^{2 * k})*(y + x^{j})")
+    start = time.perf_counter()
+    assert milnor_number(f, ORIGIN) == mu
+    assert time.perf_counter() - start < 5
+    eu = euler_obstruction_field(VectorFieldGerm(f.diff("y"), -f.diff("x")), f).value
+    assert eu - curve_multiplicity(f, ORIGIN) + 1 == mu
+
 
 def test_milnor_numbers():
     assert milnor_number(P2("x^2 + y^2"), ORIGIN) == 1
