@@ -937,6 +937,11 @@ _set_variables, _set_poly_descriptor, _set_terms = (
     MultiPoly.__dict__[n].__set__ for n in MultiPoly.__slots__)
 
 
+def _origin_coeff(f):
+    """The constant term of f, or None when f vanishes at the origin."""
+    return f.terms.get((0,) * len(f.variables))
+
+
 # ---------------------------------------------------------------------------
 # Composition: substitution, translation, orders along a branch
 # ---------------------------------------------------------------------------

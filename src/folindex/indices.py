@@ -8,7 +8,9 @@ to each polynomial).  Each curve is prepared once per computation: it
 becomes a ``_LocalCurve`` that carries its reducedness proof, its Milnor
 number and its branch expansions, so the Euler obstruction, the GSV
 correction and the irreducibility test of one computation share them
-instead of checking and expanding again.
+instead of checking and expanding again.  Branch computations double
+their truncation order up to ``_PRECISION_CAP``; a field that vanishes
+along a branch, which no precision certifies, is refused at once.
 
 The computable surface is: the Poincare-Hopf index as a colength, the
 Euler obstruction pairing of the field with an invariant curve through
@@ -19,7 +21,6 @@ the reports carry their ingredients so each value can be recomputed from
 its defining formula.
 """
 
-import os
 from fractions import Fraction
 
 from .exactcore import (
@@ -28,10 +29,11 @@ from .exactcore import (
     NonIsolatedError,
     NonTangentError,
     NotLogarithmicError,
-    ParseError,
     PreconditionError,
     ResourceCapError,
     SaitoCheckError,
+    _origin_coeff,
+    gcd,
     try_divide,
 )
 from .localmult import INFINITE, curve_multiplicity, intersection_multiplicity, milnor_number
@@ -39,7 +41,7 @@ from .puiseux import (InsufficientPrecisionError, _checked_germ, _germ_branches,
                       _polygon_edges, nash_lift_order)
 
 _ORIGIN = (Fraction(0), Fraction(0))
-_DEFAULT_CAP = 512
+_PRECISION_CAP = 512
 
 
 class VectorFieldGerm:
@@ -76,17 +78,6 @@ class IndexReport:
     def __eq__(self, other):
         return type(other) is IndexReport and (self.kind, self.value, self.ingredients) == (
             other.kind, other.value, other.ingredients)
-
-
-def _precision_cap():
-    raw = os.environ.get("FOLINDEX_PRECISION_CAP", str(_DEFAULT_CAP))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError(f"FOLINDEX_PRECISION_CAP must be an integer, got {raw!r}")
-    if cap < 2:
-        raise ParseError("FOLINDEX_PRECISION_CAP must be at least 2")
-    return cap
 
 
 def _curve_over(v, f):
@@ -133,15 +124,10 @@ class _LocalCurve:
         return found
 
 
-def _vanishes_at_origin(poly):
-    zero = (0,) * len(poly.variables)
-    return zero not in poly.terms
-
-
 def ph_index(v):
     """Colength of the component ideal: the Poincare-Hopf index at the point."""
     a, b = v.components
-    if not (_vanishes_at_origin(a) and _vanishes_at_origin(b)):
+    if _origin_coeff(a) is not None or _origin_coeff(b) is not None:
         raise PreconditionError("vector field does not vanish at the origin")
     im = intersection_multiplicity(a, b, _ORIGIN)
     if im.value is INFINITE:
@@ -166,19 +152,16 @@ def is_logarithmic(v, f):
 
 def _adaptive(curve, work):
     """Run ``work(branches)`` on a ``_LocalCurve`` with doubling precision
-    until it certifies."""
-    cap = _precision_cap()
-    prec = min(max(8, 2 * max(curve.poly.total_degree(), 1)), cap)
+    until it certifies: on a reduced germ, only the cap can stop that."""
+    prec = min(max(8, 2 * max(curve.poly.total_degree(), 1)), _PRECISION_CAP)
     while True:
         try:
             return work(curve.branches(prec))
         except InsufficientPrecisionError:
-            if prec >= cap:
-                raise ResourceCapError(
-                    f"precision cap {cap} reached before the computation was "
-                    "certified; the field may vanish along a branch "
-                    "(set FOLINDEX_PRECISION_CAP to raise the cap)")
-            prec = min(2 * prec, cap)
+            if prec >= _PRECISION_CAP:
+                raise ResourceCapError(f"precision cap {_PRECISION_CAP} reached "
+                                       "before the computation was certified")
+            prec = min(2 * prec, _PRECISION_CAP)
 
 
 def euler_obstruction_field(v, f):
@@ -209,7 +192,24 @@ def _pairing(v, curve, fl):
         # the field lives over a larger field, where the branches may split
         curve = _LocalCurve(fl, curve._mu)
     a, b = v.components
-    pairs = _adaptive(curve, lambda bs: [(br, nash_lift_order(br, (a, b))) for br in bs])
+    checked = False
+
+    def lift_orders(bs):
+        nonlocal checked
+        try:
+            return [(br, nash_lift_order(br, (a, b))) for br in bs]
+        except InsufficientPrecisionError:
+            # a*y' = b*x' along a tangent branch, so the component read
+            # vanishes on it iff a and b both do: iff fl and gcd(a, b) share
+            # a component through the origin, which no precision certifies
+            # (gcd(fl, a) first: it is usually constant, and then b is free)
+            if not checked:
+                checked = True
+                if _origin_coeff(gcd(gcd(fl, a), b)) is None:
+                    raise PreconditionError("vector field vanishes along the branch")
+            raise
+
+    pairs = _adaptive(curve, lift_orders)
     orders = tuple(o for _, o in pairs)
     conj = tuple(br.conjugacy_size for br, _ in pairs)
     value = sum(o * c for o, c in zip(orders, conj))
@@ -270,7 +270,7 @@ def saito_check(chi1, chi2, f):
     u = try_divide(det, fl)
     if u is None:
         raise SaitoCheckError("determinant of the basis is not a multiple of the divisor")
-    if _vanishes_at_origin(u):
+    if _origin_coeff(u) is None:
         raise SaitoCheckError("determinant unit factor vanishes at the origin")
     return u
 
@@ -305,7 +305,7 @@ def _log_index(v, basis, ambient_ph=None):
         raise PreconditionError("field is identically zero in the basis")
     if alpha1.is_zero or alpha2.is_zero:
         nz = alpha2 if alpha1.is_zero else alpha1
-        if _vanishes_at_origin(nz):
+        if _origin_coeff(nz) is None:
             raise NonIsolatedError("coefficient ideal is not zero-dimensional")
         value = 0
     else:
@@ -394,16 +394,16 @@ def auto_saito_basis(f):
     """
     if f.is_zero:
         raise PreconditionError("the zero polynomial does not define a curve")
-    if not _vanishes_at_origin(f):
+    if _origin_coeff(f) is not None:
         raise PreconditionError("point is not on the curve")
     x, y = f.variables
     fx = f.diff(x)
     fy = f.diff(y)
     hamiltonian = VectorFieldGerm(fy, -fx)
     zero = MultiPoly.zero(f.variables, f.descriptor)
-    if not _vanishes_at_origin(fy):
+    if _origin_coeff(fy) is not None:
         return LogBasis(hamiltonian, VectorFieldGerm(zero, f), f)
-    if not _vanishes_at_origin(fx):
+    if _origin_coeff(fx) is not None:
         return LogBasis(hamiltonian, VectorFieldGerm(f, zero), f)
     w = weighted_homogeneous_weights(f)
     if w is not None:

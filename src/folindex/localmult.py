@@ -21,6 +21,7 @@ from .exactcore import (
     translate_to_origin,
     gcd,
     _Sentinel,
+    _origin_coeff,
 )
 
 
@@ -66,10 +67,6 @@ def _lead(univ):
     return d, univ[d]
 
 
-def _origin_value(f):
-    return f.terms.get((0,) * len(f.variables))
-
-
 def _fulton(f, g, x, y):
     """Fulton's recursion (Algebraic Curves, sec. 3.3) on germs at the
     origin, restricting to y = 0: a generator of at most _DEPTH_CAP + 1
@@ -77,7 +74,7 @@ def _fulton(f, g, x, y):
     when y divides both.  Another shared component keeps it going."""
     total = 0
     for _ in range(_DEPTH_CAP + 1):
-        if _origin_value(f) is not None or _origin_value(g) is not None:
+        if _origin_coeff(f) is not None or _origin_coeff(g) is not None:
             yield total
             return
         f0 = _restriction(f, x, y)
@@ -146,7 +143,7 @@ def intersection_multiplicity(f, g, p):
     gt = translate_to_origin(g, p)
     ft, gt = ft._pair(gt)
     # gcd(ft, gt) is never 0, and a nonzero constant has a constant term
-    return LocalMultiplicity(_colength(ft, gt, lambda: _origin_value(gcd(ft, gt)) is None))
+    return LocalMultiplicity(_colength(ft, gt, lambda: _origin_coeff(gcd(ft, gt)) is None))
 
 
 def milnor_number(f, p):

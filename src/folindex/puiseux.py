@@ -51,6 +51,7 @@ from .exactcore import (
     _composite,
     _fresh_field,
     _join,
+    _origin_coeff,
     _rational_root,
     divexact,
     factor_univariate,
@@ -130,10 +131,6 @@ class _Path:
     def __init__(self, steps, conjugacy, exact):
         # steps: [(q, p, c)] outermost first
         self.steps, self.conjugacy, self.exact = steps, conjugacy, exact
-
-
-def _origin_coeff(f):
-    return f.terms.get((0,) * len(f.variables))
 
 
 def _divisible_by(f, axis_index):

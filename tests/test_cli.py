@@ -29,6 +29,12 @@ def run(tmp_path, argv, doc, name="problem.json", report="report.json"):
     return code, payload
 
 
+def _timed_main(tmp_path, argv, doc):
+    start = time.perf_counter()
+    code = cli.main(argv + ["--input", write_problem(tmp_path, doc)])
+    return code, time.perf_counter() - start
+
+
 CUSP_HAM = {
     "variables": ["x", "y"],
     "germ": {"vector_field": ["2*y", "3*x^2"], "divisor": "y^2 - x^3"},
@@ -355,6 +361,32 @@ def test_germ_off_the_origin_is_exit_2(tmp_path, capsys, argv, doc, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+CUSP_X4 = "y^2 - x^3 - x^4"
+VANISHES_ON_BRANCH = "vector field vanishes along the branch"
+ON_CUSP = {"variables": ["x", "y"],
+           "germ": {"vector_field": [CUSP_X4, "0"], "divisor": CUSP_X4}}
+RADIAL_ON_CUSP = {"variables": ["x", "y"],
+                  "germ": {"vector_field": [f"({CUSP_X4})*x", f"({CUSP_X4})*y"],
+                           "divisor": f"({CUSP_X4})*(y - x)"}}
+
+
+@pytest.mark.parametrize("argv", [["index", "--kind", kind]
+                                  for kind in ("euobs", "gsv", "schwartz", "polar", "mu-curve")]
+                         + [["confun", "--expr", f"Eu[{CUSP_X4}]"]],
+                         ids=["euobs", "gsv", "schwartz", "polar", "mu-curve", "confun"])
+@pytest.mark.parametrize("doc", [ON_CUSP, RADIAL_ON_CUSP], ids=["f-zero", "f-radial"])
+def test_field_vanishing_along_a_branch_is_exit_2(tmp_path, capsys, argv, doc):
+    # no truncation tells such a field from zero along the branch, so it is
+    # refused at once instead of doubling the precision up to the cap
+    code, elapsed = _timed_main(tmp_path, argv, doc)
+    message = VANISHES_ON_BRANCH
+    if doc is RADIAL_ON_CUSP and argv[-1] == "mu-curve":
+        message = "curve germ is not irreducible"   # f*(y - x) has two branches
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert elapsed < 2, f"{elapsed:.1f} s"
+
+
 @pytest.mark.parametrize("chern", [
     {"kind": "curve", "degree": 3, "milnor_numbers": [-5]},
     {"kind": "complement", "degree": 3, "milnor_numbers": [-5]},
@@ -431,10 +463,30 @@ NONEXACT = {
 }
 
 
-def test_precision_cap_is_exit_4(tmp_path, monkeypatch):
-    monkeypatch.setenv("FOLINDEX_PRECISION_CAP", "2")
-    code, _ = run(tmp_path, ["index", "--kind", "euobs"], NONEXACT)
+def _deep_contact_hamiltonian(k):
+    """The Hamiltonian field of (y - x^2 - y^2)*(y - x^2 - y^2 - x^k), two
+    smooth branches with contact k."""
+    a, da, _, x = DEEP_X30
+    fx, fy = _deep_contact(a, da, k, x)
+    return {"variables": ["x", "y"],
+            "germ": {"vector_field": [fy, f"-({fx})"], "divisor": f"{a}*({a} - {x}^{k})"}}
+
+
+def test_precision_cap_is_exit_4(tmp_path, capsys):
+    # the branch orders are 600, which no truncation up to the cap reaches
+    code, elapsed = _timed_main(tmp_path, ["index", "--kind", "euobs"],
+                                _deep_contact_hamiltonian(600))
     assert code == 4
+    assert capsys.readouterr().err == (
+        "error: precision cap 512 reached before the computation was certified\n")
+    assert elapsed < 5, f"{elapsed:.1f} s"
+
+
+def test_contact_below_the_cap_certifies(tmp_path, capsys):
+    code, _ = _timed_main(tmp_path, ["index", "--kind", "euobs"],
+                          _deep_contact_hamiltonian(400))
+    assert code == 0
+    assert capsys.readouterr().out.startswith("EU_OBSTRUCTION = 800\n")
 
 
 def test_default_cap_clears_the_same_problem(tmp_path):
@@ -505,9 +557,3 @@ def test_dense_list_past_the_width_cap_is_exit_4(tmp_path, divisor):
     assert proc.stderr.startswith("error: dense coefficient list of degree ")
     assert proc.stderr.endswith("exceeds the width cap 10000\n")
     assert proc.stderr.count("\n") == 1
-
-
-def test_bad_cap_value_is_exit_1(tmp_path, monkeypatch):
-    monkeypatch.setenv("FOLINDEX_PRECISION_CAP", "one")
-    code, _ = run(tmp_path, ["index", "--kind", "euobs"], NONEXACT)
-    assert code == 1

@@ -5,7 +5,6 @@ codes 0 to 4 within a time bound.  Any other exception, or a hang, fails.
 """
 
 import json
-import os
 import pathlib
 import signal
 
@@ -21,7 +20,6 @@ MINPOLYS = ["r^2 - 2", "r^2 + 1", "r^3 - 2", "2*r^2 - 3", "r^2 - 1",
             "r^4 - 5*r^2 + 6", "r^2", "r"]
 COEFFS = ["1", "-1", "2", "-3", "1/2", "0"]
 FIELD_COEFFS = COEFFS + ["r", "(r + 1)", "r^2/3"]
-CAPS = [None, "2", "3", "16", "64", "1", "0", "-4", "one", "", "2.5"]
 KINDS = ["ph", "euobs", "gsv", "schwartz", "log", "mu-curve", "polar", "chi"]
 THEOREMS = ["baum-bott", "seh", "iso", "total-gsv"]
 EXPRS = ["1[W]", "1[0]", "Eu[{f}]", "Psi[{f}]", "Phi[{f}]", "1[{f}]",
@@ -149,7 +147,7 @@ def problems(draw):
             text = text[:i] + text[i:i + 4] + text[i:]
         else:
             text = text[:i]
-    return text, argv, draw(st.sampled_from(CAPS))
+    return text, argv
 
 
 class _Hang(Exception):
@@ -168,12 +166,9 @@ def problem_path(tmp_path_factory):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=problems())
 def test_cli_never_escapes_its_exit_codes(problem_path, case):
-    text, argv, cap = case
+    text, argv = case
     with open(problem_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    saved_cap = os.environ.pop("FOLINDEX_PRECISION_CAP", None)
-    if cap is not None:
-        os.environ["FOLINDEX_PRECISION_CAP"] = cap
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     signal.alarm(SECONDS_PER_EXAMPLE)
     try:
@@ -181,7 +176,4 @@ def test_cli_never_escapes_its_exit_codes(problem_path, case):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-        os.environ.pop("FOLINDEX_PRECISION_CAP", None)
-        if saved_cap is not None:
-            os.environ["FOLINDEX_PRECISION_CAP"] = saved_cap
     assert code in (0, 1, 2, 3, 4)

@@ -72,6 +72,17 @@ def test_gsv_schwartz_milnor_identity():
         assert report.value - schwartz_index(v, f).value == -mu
 
 
+@pytest.mark.parametrize("v, f, value", [
+    (germ("2*x*y", "x*(3*x^2 + 4*x^3)"), P2("y^2 - x^3 - x^4"), 5),
+    (germ("2*x*y", "3*x^3"), CUSP, 5),
+    (germ("(y - x^2)*2*y", "(y - x^2)*(3*x^2 + 4*x^3)"), P2("y^2 - x^3 - x^4"), 6),
+], ids=["x-times-hamiltonian", "x-times-cusp-hamiltonian", "parabola-times-hamiltonian"])
+def test_field_vanishing_off_the_curve_answers(v, f, value):
+    # each field vanishes on a curve through the origin that shares no
+    # component with f, so it is not refused as vanishing along a branch
+    assert euler_obstruction_field(v, f).value == value
+
+
 def test_tangency_is_enforced():
     with pytest.raises(NonTangentError):
         euler_obstruction_field(RADIAL, CUSP)
