@@ -325,10 +325,13 @@ def _one_branch(bs):
 def mu_along_curve(v, curve):
     """Multiplicity of the field along an irreducible invariant curve germ."""
     local = _LocalCurve(_curve_over(v, curve))
-    local.milnor()   # the GSV index needs mu, which proves the curve reduced
+    # the branches come first, after the gcd test, which refuses a germ off
+    # the curve or not reduced with the texts mu would; a reducible germ is
+    # then refused before its Milnor number, which can take far longer
     if not _adaptive(local, _one_branch):
         raise PreconditionError("curve germ is not irreducible")
-    # the Euler obstruction starts from the branches just expanded
+    # the GSV index computes mu; the Euler obstruction starts from the
+    # branches just expanded
     s = _schwartz_of(_gsv(v, local))
     ing = dict(s.ingredients)
     ing["schwartz"] = s.value

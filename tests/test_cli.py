@@ -144,6 +144,40 @@ def test_three_branch_germ_answers_within_seconds(tmp_path, kind, value):
     assert elapsed < 5, f"{elapsed:.1f} s"
 
 
+# D = (y^3 - x^4)*(y^3 - x^4 - x^10)*(x^2 - y^5): three branches, the last
+# tangent to the y-axis and the others to the x-axis; its Hamiltonian field
+TANGENT_BOTH_D = "(y^3 - x^4)*(y^3 - x^4 - x^10)*(x^2 - y^5)"
+TANGENT_BOTH_DOC = {"variables": ["x", "y"], "germ": {"vector_field": [
+    "(3*y^2)*(y^3 - x^4 - x^10)*(x^2 - y^5) + (y^3 - x^4)*(3*y^2)*(x^2 - y^5)"
+    " + (y^3 - x^4)*(y^3 - x^4 - x^10)*(-5*y^4)",
+    "-((-4*x^3)*(y^3 - x^4 - x^10)*(x^2 - y^5) + (y^3 - x^4)*(-4*x^3 - 10*x^9)*(x^2 - y^5)"
+    " + (y^3 - x^4)*(y^3 - x^4 - x^10)*(2*x))"], "divisor": TANGENT_BOTH_D}}
+
+
+def test_germ_tangent_to_both_axes_euobs_within_seconds(tmp_path):
+    # the branch expansion is proved reduced by gcd(D_x, D_y); a primitive
+    # pseudo-remainder sequence took 9 s on it, the coprime certificate
+    # well under a millisecond
+    start = time.perf_counter()
+    proc = _run_cli(["index", "--kind", "euobs", "--input",
+                     write_problem(tmp_path, TANGENT_BOTH_DOC)])
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("EU_OBSTRUCTION = 105\n"), proc.stdout
+    assert elapsed < 2, f"{elapsed:.1f} s"
+
+
+def test_reducible_germ_mu_curve_is_refused_within_seconds(tmp_path):
+    # the branches are counted before the Milnor number, which took 20 s here
+    start = time.perf_counter()
+    proc = _run_cli(["index", "--kind", "mu-curve", "--input",
+                     write_problem(tmp_path, TANGENT_BOTH_DOC)])
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == "error: curve germ is not irreducible\n"
+    assert elapsed < 2, f"{elapsed:.1f} s"
+
+
 def test_puiseux_report(tmp_path):
     code, payload = run(tmp_path, ["puiseux"], CUSP_HAM)
     assert code == 0

@@ -34,6 +34,7 @@ from folindex.exactcore import (
     _DENSE_WIDTH_CAP,
     _below,
     _composite,
+    _coprime_mod_p,
     _join,
     _resultant_sympy,
     _sympy_ring,
@@ -42,7 +43,7 @@ from folindex.exactcore import (
 
 from folindex import exactcore
 
-from conftest import P2, V2, subprocess_env
+from conftest import P2, P3, V2, subprocess_env
 from test_cli import _cap_address_space
 
 SQRT2 = FieldDescriptor.simple_extension("r", [Fraction(-2), Fraction(0), Fraction(1)])
@@ -551,6 +552,82 @@ def test_gcd_matches_the_sympy_gcd(desc, variables, f, g, h):
         assert d * expected.leading()[1] == expected
 
 
+# (f, g, h) drawn as in the sympy comparison; h is the common factor, with
+# every exponent in the given variable zeroed when it is to be free of it
+_FREE_OF = {"general": None, "free of x": 0, "free of y": 1}
+# _VANISHING[i] is free of the i-th variable and zero where the other one is
+# 2, 3 or 5: multiplied into f, it makes f's leading coefficient in the i-th
+# variable vanish at every point the certificate tries
+_VANISHING = {0: P2("(y - 2)*(y - 3)*(y - 5)"), 1: P2("(x - 2)*(x - 3)*(x - 5)")}
+
+
+def _sympy_gcd_is_constant(F, G):
+    R, to_sympy, _ = _sympy_ring(QQ, "_v:2")
+    return R.from_dict({k: to_sympy(c) for k, c in F.terms.items()}).gcd(
+        R.from_dict({k: to_sympy(c) for k, c in G.terms.items()})).is_ground
+
+
+@settings(max_examples=200, deadline=None, print_blob=True)
+@given(term_lists, term_lists, term_lists, st.sampled_from(sorted(_FREE_OF)),
+       st.sampled_from([None, 0, 1]))
+@example([((1, 0), (1, 0))], [((0, 1), (1, 0))], [((1, 1), (1, 0)), ((0, 0), (1, 0))],
+         "general", None)                                       # x*h, y*h
+@example([((0, 1), (1, 0))], [((0, 1), (1, 0)), ((0, 0), (1, 0))], ONE, "general", 1)
+@example([((0, 1), (1, 0))], [((1, 0), (1, 0))],                # h = (x - 2)*(y - 2) + 1
+         [((1, 1), (1, 0)), ((1, 0), (-2, 0)), ((0, 1), (-2, 0)), ((0, 0), (5, 0))],
+         "general", None)                                       # is 1 at x = 2 or y = 2
+def test_the_coprime_certificate_never_certifies_a_common_factor(f, g, h, free, vanishing):
+    """The certificate's True means sympy's gcd is a constant: with a
+    common factor free of y, free of x or in both, with rational
+    coefficients, and where a leading coefficient vanishes at every point
+    tried, where it must not hold at all."""
+    f, g, h = (_poly_from_terms(t, V2, QQ) for t in (f, g, h))
+    if _FREE_OF[free] is not None:
+        i = _FREE_OF[free]
+        h = MultiPoly(V2, QQ, {k[:i] + (0,) + k[i + 1:]: c for k, c in h.terms.items()})
+    if vanishing is not None:
+        f = f * _VANISHING[vanishing]
+    F, G = f * h, g * h
+    if F.is_constant or G.is_constant or not any(map(any, (*F.terms, *G.terms))):
+        return
+    certified = _coprime_mod_p(F, G)
+    if certified:
+        assert _sympy_gcd_is_constant(F, G)
+    if vanishing is not None and F.degree_in(V2[vanishing]) > 0 \
+            and G.degree_in(V2[vanishing]) > 0:
+        assert not certified
+
+
+def test_the_coprime_certificate_settles_the_partials_of_a_germ_tangent_to_both_axes():
+    # gcd(D_x, D_y): a primitive pseudo-remainder sequence took 9 s here
+    d = P2("(y^3 - x^4)*(y^3 - x^4 - x^10)*(x^2 - y^5)")
+    fx, fy = d.diff("x"), d.diff("y")
+    assert _coprime_mod_p(fx, fy)
+    assert gcd(fx, fy) == P2("1")
+    assert squarefree_at(d, (Fraction(0), Fraction(0)))
+
+
+def test_the_coprime_certificate_declines_what_it_cannot_settle():
+    # y's leading coefficient in f vanishes at x = 2, 3, 5: no image keeps
+    # the degree, so the exact gcd decides, and finds the pair coprime
+    f, g = P2("(x - 2)*(x - 3)*(x - 5)*y + 1"), P2("y + x")
+    assert not _coprime_mod_p(f, g)
+    assert gcd(f, g) == P2("1")
+    # a coefficient divisible by the prime vanishes in every image
+    assert not _coprime_mod_p(P2("1000003*y + x + 1"), P2("y + x"))
+    # an exponent at the dense width cap: no dense image is built
+    big = P2(f"x^{_DENSE_WIDTH_CAP}*y + 1")
+    assert not _coprime_mod_p(big, P2("y + x"))
+    # three variables: each is read with the other two set to one value a,
+    # so x*y + z and x + y*z, whose images in y are both a*(y + 1), are
+    # declined, and a pair without that symmetry is settled
+    assert not _coprime_mod_p(P3("x*y + z"), P3("x + y*z"))
+    assert gcd(P3("x*y + z"), P3("x + y*z")) == P3("1")
+    assert _coprime_mod_p(P3("x*y + z + 1"), P3("x + y*z^2"))
+    assert not _coprime_mod_p(P3("(x + z)*(y + 1)"), P3("(x + z)*(y - 1)"))
+    assert gcd(P3("(x + z)*(y + 1)"), P3("(x + z)*(y - 1)")) == P3("x + z")
+
+
 def test_resultant():
     assert resultant(P2("x - y"), P2("x + y"), "x") == P2("2*y")
     assert resultant(P2("x^2 - y^2"), P2("x - y"), "x").is_zero
@@ -651,9 +728,18 @@ def test_dense_lists_stop_at_the_width_cap():
 
 # ------------------------------------------------ invariants of every result
 
+def _assert_sealed(value):
+    """``value`` refuses every assignment, as a public instance does."""
+    for name in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
 def _assert_clean_elem(e, desc):
-    """The checked FieldElem constructor's invariants, over ``desc``."""
+    """The checked FieldElem constructor's invariants, over ``desc``:
+    exactly the public type, sealed, reduced."""
     assert type(e) is FieldElem and e.descriptor == desc
+    _assert_sealed(e)
     nums, den = e.nums, e.den
     # exact types: a stray / would leave a float here
     assert type(nums) is tuple and all(type(n) is int for n in nums)
@@ -669,6 +755,7 @@ def _assert_clean_elem(e, desc):
 
 def _assert_clean_poly(p, desc):
     assert type(p) is MultiPoly and p.descriptor == desc
+    _assert_sealed(p)
     assert type(p.variables) is tuple
     for k, c in p.terms.items():
         assert type(k) is tuple and len(k) == len(p.variables)
@@ -716,6 +803,7 @@ def test_every_result_meets_the_checked_invariants(d1, d2, data):
         _assert_clean_poly(value, desc)
     _assert_clean_poly(-a, d1)
     _assert_clean_poly(a ** 3, d1)
+    _assert_clean_elem(a.evaluate({"x": c, "y": e}), desc)
     assert a + b - b == a.lift(desc)
     if not b.is_zero:
         mono = MultiPoly(V2, d2, {(1, 2): e}) if not e.is_zero else b

@@ -105,6 +105,12 @@ def test_error_precedence_is_kept():
             index(RADIAL, P2("y^2"))
     with pytest.raises(PreconditionError, match="point is not on the curve"):
         gsv_index(germ("x", "0"), P2("y - 1"))
+    # mu_along_curve counts branches before it computes mu, and refuses a
+    # germ not reduced or off the curve with the texts mu would
+    with pytest.raises(NonReducedError, match="curve is not reduced at the point"):
+        mu_along_curve(RADIAL, P2("y^2"))
+    with pytest.raises(PreconditionError, match="point is not on the curve"):
+        mu_along_curve(germ("x", "0"), P2("y - 1"))
 
 
 def test_ph_values():
