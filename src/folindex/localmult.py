@@ -5,11 +5,14 @@ evaluates the colength of the ideal (f, g) in the local ring at a point.
 It is field-agnostic and independent of the series-expansion machinery,
 which lets the two act as oracles for each other in the test suite.
 
-The recursion runs on both axis orders in lockstep, since high contact
-along one axis can cost thousands of steps in one order and a few in the
-other.  A finite colength proves that f and g share no component through
-the point (for a Milnor number, that the curve is reduced there); one gcd
-is the fallback, when neither order has finished after a few steps.
+One step function restricts to the second axis; the other axis order is
+the same function on the pair with each term's exponents swapped, and
+the two run in lockstep, since high contact along one axis can cost
+thousands of steps in one order and a few in the other.  A finite
+colength proves that f and g share no component through the point (for
+a Milnor number, that the curve is reduced there).  When neither order
+has finished after a few steps, one gcd of the untranslated pair,
+evaluated at the point, decides.
 """
 
 from .exactcore import (
@@ -17,11 +20,9 @@ from .exactcore import (
     NonReducedError,
     PreconditionError,
     ResourceCapError,
-    squarefree_at,
     translate_to_origin,
     gcd,
     _Sentinel,
-    _origin_coeff,
 )
 
 
@@ -47,76 +48,58 @@ class LocalMultiplicity:
         return self.value is not INFINITE
 
 
-def _restriction(f, main, aux):
-    """f with ``aux`` set to 0, as a dict exponent -> FieldElem in ``main``."""
-    im = f.variables.index(main)
-    ia = f.variables.index(aux)
-    out = {}
-    for k, c in f.terms.items():
-        if k[ia] == 0:
-            out[k[im]] = c
-    return out
-
-
-def _ord(univ):
-    return min(univ) if univ else None
-
-
-def _lead(univ):
-    d = max(univ)
-    return d, univ[d]
-
-
-def _fulton(f, g, x, y):
+def _fulton(f, g):
     """Fulton's recursion (Algebraic Curves, sec. 3.3) on germs at the
-    origin, restricting to y = 0: a generator of at most _DEPTH_CAP + 1
-    items, None after each step and last the colength of (f, g), INFINITE
-    when y divides both.  Another shared component keeps it going."""
+    origin, restricting to y = 0 for variables (x, y): a generator of at
+    most _DEPTH_CAP + 1 items, None after each step and last the colength
+    of (f, g), INFINITE when y divides both.  Another shared component
+    keeps it going.  A step changes g alone, so only g is restricted
+    again."""
     total = 0
+    f0, g0 = ({i: c for (i, j), c in h.terms.items() if not j} for h in (f, g))
     for _ in range(_DEPTH_CAP + 1):
-        if _origin_coeff(f) is not None or _origin_coeff(g) is not None:
+        if 0 in f0 or 0 in g0:
+            # a unit: (f, g) is the whole local ring from here on
             yield total
             return
-        f0 = _restriction(f, x, y)
-        g0 = _restriction(g, x, y)
         if not f0 and not g0:
             # y divides f and g: a common component through the origin
             yield INFINITE
             return
         if not f0:
-            f, g = g, f
-            f0, g0 = g0, f0
+            f, g, f0, g0 = g, f, g0, f0
         if not g0:
-            # g = y * q, and I(y, f) is the x-order of f on the y = 0 axis;
-            # every term of g has a factor y, so q is an exponent shift
-            total += _ord(f0)
-            di, dj = (0, 1) if g.variables[1] == y else (1, 0)
+            # g = y * q, and I(y, f) is the x-order of f on the y = 0 axis
+            total += min(f0)
             g = MultiPoly._make(g.variables, g.descriptor,
-                                {(i - di, j - dj): c for (i, j), c in g.terms.items()})
+                                {(i, j - 1): c for (i, j), c in g.terms.items()})
         else:
-            r, fr = _lead(f0)
-            s, gs = _lead(g0)
+            r, s = max(f0), max(g0)
             if r > s:
-                f, g = g, f
-                (r, fr), (s, gs) = (s, gs), (r, fr)
-            # kill the top x-coefficient of g's restriction by subtracting
-            # (gs / fr) x^(s - r) f, which leaves the colength fixed; the
-            # division keeps the coefficients small where scaling g by fr
-            # would let them grow at every step
-            shift = (s - r, 0) if f.variables[0] == x else (0, s - r)
-            g = g - f * MultiPoly._make(f.variables, f.descriptor, {shift: gs / fr})
+                f, g, f0, g0, r, s = g, f, g0, f0, s, r
+            # kill the top x-coefficient of g's restriction by adding
+            # -(g0[s] / f0[r]) x^(s - r) f, which leaves the colength fixed;
+            # the division keeps the coefficients small where scaling g by
+            # f0[r] would let them grow at every step, and negating the one
+            # scalar spares a subtraction that negates every term of f
+            g = g + f * MultiPoly._make(f.variables, f.descriptor, {(s - r, 0): -g0[s] / f0[r]})
+        g0 = {i: c for (i, j), c in g.terms.items() if not j}
         yield None
 
 
-def _colength(f, g, shared):
-    """The colength of (f, g) at the origin from whichever axis order of
-    Fulton's recursion finishes first, the two run in lockstep.  When
-    neither has finished after _LOCKSTEP_STEPS steps, ``shared()`` runs
-    once and a True (a component through the origin) means INFINITE."""
-    x, y = f.variables
-    runs = (_fulton(f, g, x, y), _fulton(f, g, y, x))
+def _colength(f, g, p):
+    """The colength of (f, g) at p from whichever axis order of Fulton's
+    recursion finishes first: the pair translated to the origin runs in
+    lockstep with its mirror, each term's two exponents swapped.  When
+    neither has finished after _LOCKSTEP_STEPS steps, a gcd of the
+    untranslated pair vanishing at p (a component through p) means
+    INFINITE."""
+    ft, gt = (translate_to_origin(h, p) for h in (f, g))
+    runs = (_fulton(ft, gt), _fulton(*(
+        MultiPoly._make(h.variables, h.descriptor, {(j, i): c for (i, j), c in h.terms.items()})
+        for h in (ft, gt))))
     for step in range(_DEPTH_CAP + 1):
-        if step == _LOCKSTEP_STEPS and shared():
+        if step == _LOCKSTEP_STEPS and gcd(f, g).evaluate(dict(zip(f.variables, p))).is_zero:
             return INFINITE
         for run in runs:
             value = next(run)
@@ -139,11 +122,7 @@ def intersection_multiplicity(f, g, p):
     f, g = f._pair(g)
     if len(f.variables) != 2:
         raise PreconditionError("intersection multiplicity needs two variables")
-    ft = translate_to_origin(f, p)
-    gt = translate_to_origin(g, p)
-    ft, gt = ft._pair(gt)
-    # gcd(ft, gt) is never 0, and a nonzero constant has a constant term
-    return LocalMultiplicity(_colength(ft, gt, lambda: _origin_coeff(gcd(ft, gt)) is None))
+    return LocalMultiplicity(_colength(f, g, p))
 
 
 def milnor_number(f, p):
@@ -152,8 +131,8 @@ def milnor_number(f, p):
     0 exactly at smooth points.  At a singular point it is finite exactly
     when f is reduced there (Milnor 1968), so a value proves the curve
     passes through p and is reduced there, and INFINITE raises
-    NonReducedError.  The gcd of ``squarefree_at`` is only the fallback of
-    ``_colength``.
+    NonReducedError.  The fallback of ``_colength``, gcd(f_x, f_y)
+    vanishing at p, is then the square-free test of ``squarefree_at``.
     """
     point = {v: c for v, c in zip(f.variables, p)}
     if not f.evaluate(point).is_zero:
@@ -161,8 +140,7 @@ def milnor_number(f, p):
     fx, fy = (f.diff(v) for v in f.variables)
     if any(not d.evaluate(point).is_zero for d in (fx, fy)):
         return 0
-    mu = _colength(*(translate_to_origin(d, p) for d in (fx, fy)),
-                   lambda: not squarefree_at(f, p))
+    mu = _colength(fx, fy, p)
     if mu is INFINITE:
         raise NonReducedError("curve is not reduced at the point")
     return mu

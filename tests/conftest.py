@@ -80,13 +80,11 @@ def localization_counts(monkeypatch):
         expanded[(f, budget)] += 1
         return real_expand(f, budget, ctx)
 
-    # a Milnor number is counted as a proof, so the fallback squarefree_at
-    # calls from localmult are not counted again
+    # a Milnor number is counted as a reducedness proof too
     for real in (exactcore.squarefree_at, localmult.milnor_number):
         check = counted(real)
         for name, module in list(sys.modules.items()):
-            if (name.startswith("folindex") and getattr(module, real.__name__, None) is real
-                    and (name, real.__name__) != ("folindex.localmult", "squarefree_at")):
+            if name.startswith("folindex") and getattr(module, real.__name__, None) is real:
                 monkeypatch.setattr(module, real.__name__, check)
     monkeypatch.setattr(puiseux, "_expand", expand)
     return checked, expanded

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 
 import folindex.cli as cli
 import folindex.localmult as localmult
-from folindex.exactcore import MultiPoly, NonReducedError, PreconditionError, divides
+from folindex.exactcore import (
+    FieldDescriptor,
+    FieldElem,
+    MultiPoly,
+    NonReducedError,
+    PreconditionError,
+    divides,
+)
 from folindex.indices import VectorFieldGerm, euler_obstruction_field
 from folindex.localmult import (
     INFINITE,
@@ -26,6 +33,7 @@ CUSP = P2("y^2 - x^3")
 NODE = P2("x*y")
 TACNODE = P2("y^2 - x^4")
 INF = INFINITE
+SQRT2 = FieldElem(FieldDescriptor.simple_extension("r", [-2, 0, 1]), [0, 1])
 
 
 def I0(f, g):
@@ -47,6 +55,10 @@ def test_known_values():
     assert I0(P2("x"), NODE) == INF
     assert I0(CUSP, CUSP * P2("y")) == INF
     assert not intersection_multiplicity(P2("x"), NODE, ORIGIN).is_finite
+    # y^2 = 2x through (1, sqrt 2), tangent to no axis there: neither order
+    # of the recursion finishes, and the gcd fallback decides
+    assert intersection_multiplicity(P2("(y^2 - 2*x)*(x + y)"), P2("(y^2 - 2*x)*(x - y)"),
+                                     (1, SQRT2)).value == INF
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,6 +133,11 @@ def test_a_shared_component_through_the_origin_is_infinite(f, g):
 
 def test_a_shared_component_away_from_the_origin_is_not():
     assert I0(P2("(y - 1)*x"), P2("(y - 1)*(y - x^2)")) == 1
+    # contact 17 along the diagonal at (sqrt 2, sqrt 2), and x + y shared
+    # but nonzero there: both axis orders pass the gcd fallback (324 and 18
+    # steps) and go on to the finite value
+    f, g = P2("(y - x)*(x + y)"), P2("(y - x - (x^2 - 2)^17)*(x + y)")
+    assert intersection_multiplicity(f, g, (SQRT2, SQRT2)).value == 17
 
 
 @pytest.mark.parametrize("text", ["(y^2 - x^3)^2", "x*(y - x^2)^2", "(y - x^2)^2*(x + y)"])
@@ -138,13 +155,12 @@ RECURSION_ENTRIES = [e for e in json.loads((CORPUS / "manifest.json").read_text(
 
 def test_the_corpus_never_reaches_the_gcd_fallback(monkeypatch, tmp_path):
     """Every corpus colength is decided by the recursion itself: with the
-    fallback's gcd and square-free test refused, each index, verify and
-    confun report is still reproduced byte for byte."""
+    fallback's gcd refused, each index, verify and confun report is still
+    reproduced byte for byte."""
     def refused(*args):
         raise AssertionError("the gcd fallback ran")
 
     monkeypatch.setattr(localmult, "gcd", refused)
-    monkeypatch.setattr(localmult, "squarefree_at", refused)
     out = tmp_path / "report.json"
     for entry in RECURSION_ENTRIES:
         code = cli.main([*entry["argv"], "--input", str(CORPUS / entry["problem"]),
