@@ -897,10 +897,15 @@ class MultiPoly:
         Each variable's powers are built once, for the exponents that
         occur, in ascending order: each power is the one before times the
         value to the gap, so a dense run of exponents costs one product a
-        power and a sparse exponent the square-and-multiply of its gap.
+        power and a sparse exponent the square-and-multiply of its gap.  At
+        the origin, where every local computation asks, the value is the
+        constant term, read in the joined field without a product.
         """
         vals = [FieldElem.of(values[v], self.descriptor) for v in self.variables]
         desc = _join(self.descriptor, *(val.descriptor for val in vals))
+        if not any(val.nums for val in vals):
+            c = _origin_coeff(self)
+            return FieldElem._make(desc, (), 1) if c is None else c.lift(desc)
         tables = []
         for i, val in enumerate(vals):
             val = val.lift(desc)
@@ -1239,8 +1244,8 @@ def gcd(f, g):
     return _normalize_lead(content * pp)
 
 
-# The prime of the coprimality certificate, and the values the variables
-# other than the one read take in its images, tried in turn.
+# The prime of the coprimality certificate, and the values a tried in turn
+# for its images: the variables other than the one read take a, a + 1, ...
 _COPRIME_PRIME = 1_000_003
 _COPRIME_POINTS = (2, 3, 5)
 
@@ -1249,17 +1254,18 @@ def _coprime_mod_p(f, g):
     """True when a modular certificate proves that f and g over Q have a
     constant gcd; False when it does not settle that.
 
-    For each variable v that both involve, the other variables are all set
-    to one a of ``_COPRIME_POINTS``, the first at which neither integer
-    form's leading coefficient in v vanishes mod ``_COPRIME_PRIME``, and
-    Euclid mod that prime must end in a constant on the two images in v.
-    That is sound: a common factor h of positive v-degree, taken primitive
-    over Z, divides both integer forms (Gauss's lemma), so its leading
-    coefficient in v divides theirs; at a its image keeps its v-degree and
-    divides both images, whose gcd mod p is then not a constant.  This is
-    the "gcd is 1" case of Brown's modular gcd (W. S. Brown, JACM 18,
-    1971).  When no a serves some v, or an exponent reaches the dense width
-    cap, the certificate does not hold and the caller's exact gcd decides.
+    For each variable v that both involve, the other variables are set to
+    a, a + 1, ... in their order, for the first a of ``_COPRIME_POINTS`` at
+    which neither integer form's leading coefficient in v vanishes mod
+    ``_COPRIME_PRIME``, and Euclid mod that prime must end in a constant on
+    the two images in v.  That is sound: a common factor h of positive
+    v-degree, taken primitive over Z, divides both integer forms (Gauss's
+    lemma), so its leading coefficient in v divides theirs; at that point
+    its image keeps its v-degree and divides both images, whose gcd mod p
+    is then not a constant.  This is the "gcd is 1" case of Brown's
+    modular gcd (W. S. Brown, JACM 18, 1971).  When no a serves some v, or
+    an exponent reaches the dense width cap, the certificate does not hold
+    and the caller's exact gcd decides.
     """
     p = _COPRIME_PRIME
     forms = []
@@ -1270,16 +1276,20 @@ def _coprime_mod_p(f, g):
         forms.append([(k, n // content % p) for k, n in form])
     if max(e for form in forms for k, _ in form for e in k) >= _DENSE_WIDTH_CAP:
         return False
-    for i in range(len(f.variables)):
+    nv = len(f.variables)
+    moduli = (p,) * nv
+    for i in range(nv):
         degrees = [max(k[i] for k, _ in form) for form in forms]
         if not all(degrees):
             continue            # a common factor has v-degree 0
         for a in _COPRIME_POINTS:
+            # v itself is 1 here, so each term lands on its power of v
+            point = [1 if j == i else a + j - (j > i) for j in range(nv)]
             images = []
             for form, d in zip(forms, degrees):
                 image = [0] * (d + 1)
                 for k, n in form:
-                    image[k[i]] += n * pow(a, sum(k) - k[i], p)
+                    image[k[i]] += n * math.prod(map(pow, point, k, moduli))
                 images.append([c % p for c in image])
             if all(image[-1] for image in images):
                 break

@@ -43,7 +43,7 @@ from folindex.exactcore import (
 
 from folindex import exactcore
 
-from conftest import P2, P3, V2, subprocess_env
+from conftest import P2, P3, V2, V3, subprocess_env
 from test_cli import _cap_address_space
 
 SQRT2 = FieldDescriptor.simple_extension("r", [Fraction(-2), Fraction(0), Fraction(1)])
@@ -396,6 +396,40 @@ def test_poly_queries():
     assert f.evaluate({"x": Fraction(1), "y": Fraction(2)}) == fe(7)
 
 
+def test_evaluate_at_the_origin_reads_the_constant_term():
+    f = P2("y^2 - x^3 + 5")
+    for zero in (0, Fraction(0), fe(0)):
+        value = f.evaluate({"x": zero, "y": zero})
+        assert value == fe(5) and value.descriptor is QQ
+    # zero values over Q(r) move the rational constant term into Q(r)
+    value = f.evaluate({"x": fe(0, SQRT2), "y": 0})
+    assert value.descriptor is SQRT2 and value == fe(5, SQRT2)
+    # no constant term: zero in the joined field
+    for at, desc in (({"x": 0, "y": 0}, QQ), ({"x": 0, "y": fe(0, SQRT2)}, SQRT2)):
+        value = P2("x*y - y^3").evaluate(at)
+        assert value.is_zero and value.descriptor is desc
+    # the values are still read and their fields joined first
+    with pytest.raises(DescriptorMismatchError):
+        f.evaluate({"x": fe(0, SQRT2), "y": fe(0, SQRT3)})
+    with pytest.raises(KeyError):
+        f.evaluate({"x": 0})
+
+
+def test_evaluate_at_the_origin_multiplies_nothing(monkeypatch):
+    r = FieldElem.generator(SQRT2)
+    f = MultiPoly(V2, SQRT2, {(0, 0): r + 1, (1, 0): r, (3, 2): fe(7, SQRT2)})
+    g, expected = P2("x - 1"), r + 1
+
+    def refuse(self, other):
+        raise AssertionError("a product while evaluating at the origin")
+
+    monkeypatch.setattr(FieldElem, "__mul__", refuse)
+    assert f.evaluate({"x": 0, "y": fe(0, SQRT2)}) == expected
+    assert g.evaluate({"x": 0, "y": 0}) == fe(-1)
+    with pytest.raises(AssertionError):
+        f.evaluate({"x": 1, "y": 0})
+
+
 def test_coeffs_round_trip():
     f = P2("y^2 - x^3 + 2*x*y")
     coeffs = f.coeffs_in("y")
@@ -552,49 +586,68 @@ def test_gcd_matches_the_sympy_gcd(desc, variables, f, g, h):
         assert d * expected.leading()[1] == expected
 
 
-# (f, g, h) drawn as in the sympy comparison; h is the common factor, with
-# every exponent in the given variable zeroed when it is to be free of it
-_FREE_OF = {"general": None, "free of x": 0, "free of y": 1}
-# _VANISHING[i] is free of the i-th variable and zero where the other one is
-# 2, 3 or 5: multiplied into f, it makes f's leading coefficient in the i-th
-# variable vanish at every point the certificate tries
-_VANISHING = {0: P2("(y - 2)*(y - 3)*(y - 5)"), 1: P2("(x - 2)*(x - 3)*(x - 5)")}
+# (exponents, (a, b)) terms in up to three variables; a two-variable draw
+# drops the z exponents
+term_lists3 = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3),
+                                 st.tuples(small, small)), max_size=4)
+# (variables, free, vanishing): h, the common factor, has every exponent in
+# the variables of the indices in ``free`` zeroed (all but one at most), and
+# f is multiplied by _VANISHING[variables][vanishing] (None: by nothing)
+_CERTIFICATE_CASES = st.sampled_from([V2, V3]).flatmap(lambda vs: st.tuples(
+    st.just(vs), st.frozensets(st.sampled_from(range(len(vs))), max_size=len(vs) - 1),
+    st.sampled_from([None, *range(len(vs))])))
+# _VANISHING[variables][i] is free of the i-th variable and zero at every
+# point the certificate reads it at: the first other variable takes 2, 3
+# or 5 there, so f's leading coefficient in the i-th variable vanishes
+_VANISHING = {
+    V2: [P2("(y - 2)*(y - 3)*(y - 5)"), P2("(x - 2)*(x - 3)*(x - 5)")],
+    V3: [P3("(y - 2)*(y - 3)*(y - 5)"), P3("(x - 2)*(x - 3)*(x - 5)"),
+         P3("(x - 2)*(x - 3)*(x - 5)")],
+}
 
 
 def _sympy_gcd_is_constant(F, G):
-    R, to_sympy, _ = _sympy_ring(QQ, "_v:2")
+    R, to_sympy, _ = _sympy_ring(QQ, f"_v:{len(F.variables)}")
     return R.from_dict({k: to_sympy(c) for k, c in F.terms.items()}).gcd(
         R.from_dict({k: to_sympy(c) for k, c in G.terms.items()})).is_ground
 
 
+ONE3 = [((0, 0, 0), (1, 0))]
+
+
 @settings(max_examples=200, deadline=None, print_blob=True)
-@given(term_lists, term_lists, term_lists, st.sampled_from(sorted(_FREE_OF)),
-       st.sampled_from([None, 0, 1]))
-@example([((1, 0), (1, 0))], [((0, 1), (1, 0))], [((1, 1), (1, 0)), ((0, 0), (1, 0))],
-         "general", None)                                       # x*h, y*h
-@example([((0, 1), (1, 0))], [((0, 1), (1, 0)), ((0, 0), (1, 0))], ONE, "general", 1)
-@example([((0, 1), (1, 0))], [((1, 0), (1, 0))],                # h = (x - 2)*(y - 2) + 1
-         [((1, 1), (1, 0)), ((1, 0), (-2, 0)), ((0, 1), (-2, 0)), ((0, 0), (5, 0))],
-         "general", None)                                       # is 1 at x = 2 or y = 2
-def test_the_coprime_certificate_never_certifies_a_common_factor(f, g, h, free, vanishing):
-    """The certificate's True means sympy's gcd is a constant: with a
-    common factor free of y, free of x or in both, with rational
-    coefficients, and where a leading coefficient vanishes at every point
-    tried, where it must not hold at all."""
-    f, g, h = (_poly_from_terms(t, V2, QQ) for t in (f, g, h))
-    if _FREE_OF[free] is not None:
-        i = _FREE_OF[free]
-        h = MultiPoly(V2, QQ, {k[:i] + (0,) + k[i + 1:]: c for k, c in h.terms.items()})
+@given(term_lists3, term_lists3, term_lists3, _CERTIFICATE_CASES)
+@example([((1, 0, 0), (1, 0))], [((0, 1, 0), (1, 0))],          # x*h, y*h
+         [((1, 1, 0), (1, 0)), ((0, 0, 0), (1, 0))], (V2, frozenset(), None))
+@example([((0, 1, 0), (1, 0))], [((0, 1, 0), (1, 0)), ((0, 0, 0), (1, 0))], ONE3,
+         (V2, frozenset(), 1))
+@example([((0, 1, 0), (1, 0))], [((1, 0, 0), (1, 0))],          # h = (x - 2)*(y - 2) + 1
+         [((1, 1, 0), (1, 0)), ((1, 0, 0), (-2, 0)), ((0, 1, 0), (-2, 0)),
+          ((0, 0, 0), (5, 0))], (V2, frozenset(), None))        # is 1 at x = 2 or y = 2
+@example([((0, 1, 0), (1, 0)), ((0, 0, 0), (1, 0))],            # (y + 1)*(x + z),
+         [((0, 1, 0), (1, 0)), ((0, 0, 0), (-1, 0))],           # (y - 1)*(x + z)
+         [((1, 0, 0), (1, 0)), ((0, 0, 1), (1, 0))], (V3, frozenset({1}), None))
+@example([((0, 0, 1), (1, 0))], [((0, 0, 1), (1, 0)), ((0, 0, 0), (1, 0))], ONE3,
+         (V3, frozenset(), 2))
+def test_the_coprime_certificate_never_certifies_a_common_factor(f, g, h, case):
+    """The certificate's True means sympy's gcd is a constant, in two and
+    three variables: with a common factor free of some variables or in
+    all of them, with rational coefficients, and where a leading coefficient
+    vanishes at every point tried, where it must not hold at all."""
+    variables, free, vanishing = case
+    f, g = (_poly_from_terms(t, variables, QQ) for t in (f, g))
+    h = _poly_from_terms([(tuple(0 if i in free else e for i, e in enumerate(k)), c)
+                          for k, c in h], variables, QQ)
     if vanishing is not None:
-        f = f * _VANISHING[vanishing]
+        f = f * _VANISHING[variables][vanishing]
     F, G = f * h, g * h
     if F.is_constant or G.is_constant or not any(map(any, (*F.terms, *G.terms))):
         return
     certified = _coprime_mod_p(F, G)
     if certified:
         assert _sympy_gcd_is_constant(F, G)
-    if vanishing is not None and F.degree_in(V2[vanishing]) > 0 \
-            and G.degree_in(V2[vanishing]) > 0:
+    if vanishing is not None and F.degree_in(variables[vanishing]) > 0 \
+            and G.degree_in(variables[vanishing]) > 0:
         assert not certified
 
 
@@ -618,12 +671,13 @@ def test_the_coprime_certificate_declines_what_it_cannot_settle():
     # an exponent at the dense width cap: no dense image is built
     big = P2(f"x^{_DENSE_WIDTH_CAP}*y + 1")
     assert not _coprime_mod_p(big, P2("y + x"))
-    # three variables: each is read with the other two set to one value a,
-    # so x*y + z and x + y*z, whose images in y are both a*(y + 1), are
-    # declined, and a pair without that symmetry is settled
-    assert not _coprime_mod_p(P3("x*y + z"), P3("x + y*z"))
-    assert gcd(P3("x*y + z"), P3("x + y*z")) == P3("1")
-    assert _coprime_mod_p(P3("x*y + z + 1"), P3("x + y*z^2"))
+    # three variables: each is read with the other two set to distinct
+    # values a and a + 1, so x*y + z and x + y*z, symmetric in x and z, get
+    # distinct images (a*y + a + 1 and (a + 1)*y + a in y) and are settled,
+    # and a common factor is never certified away
+    for f, g in (("x*y + z", "x + y*z"), ("x*y + z + 1", "x + y*z^2")):
+        assert _coprime_mod_p(P3(f), P3(g))
+        assert gcd(P3(f), P3(g)) == P3("1")
     assert not _coprime_mod_p(P3("(x + z)*(y + 1)"), P3("(x + z)*(y - 1)"))
     assert gcd(P3("(x + z)*(y + 1)"), P3("(x + z)*(y - 1)")) == P3("x + z")
 
