@@ -423,7 +423,8 @@ class FieldElem:
             f"cannot move element of {self.descriptor!r} into {descriptor!r}")
 
     def _pair(self, other):
-        if not isinstance(other, FieldElem):
+        # the exact class first: isinstance against Fraction, an ABC, is slow
+        if other.__class__ is not FieldElem and not isinstance(other, FieldElem):
             if not isinstance(other, (int, Fraction)):
                 return None
             other = FieldElem.of(other, self.descriptor)
@@ -471,7 +472,7 @@ class FieldElem:
         return FieldElem._make(self.descriptor, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, FieldElem)):
+        if other.__class__ is not FieldElem and not isinstance(other, (FieldElem, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -569,13 +570,14 @@ class FieldElem:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.den == 1 and (self.nums == (other,) if other else not self.nums)
-        if isinstance(other, Fraction):
-            return self.den == other.denominator and (
-                self.nums == (other.numerator,) if other else not self.nums)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
+        if other.__class__ is not FieldElem:
+            if isinstance(other, int):
+                return self.den == 1 and (self.nums == (other,) if other else not self.nums)
+            if isinstance(other, Fraction):
+                return self.den == other.denominator and (
+                    self.nums == (other.numerator,) if other else not self.nums)
+            if not isinstance(other, FieldElem):
+                return NotImplemented
         # a rational keeps its coordinates in every field, so values over two
         # different extensions are equal only when both are that rational
         if self.nums != other.nums or self.den != other.den:
@@ -765,10 +767,12 @@ class MultiPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            other = MultiPoly.constant(other, self.variables, self.descriptor)
-        if not isinstance(other, MultiPoly):
-            return None
+        # the exact class first, as in FieldElem._pair
+        if other.__class__ is not MultiPoly:
+            if isinstance(other, (FieldElem, int, Fraction)):
+                other = MultiPoly.constant(other, self.variables, self.descriptor)
+            elif not isinstance(other, MultiPoly):
+                return None
         if other.variables != self.variables:
             raise DescriptorMismatchError("polynomials in different variable lists")
         if other.descriptor is not self.descriptor and other.descriptor != self.descriptor:
@@ -861,10 +865,11 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            other = MultiPoly.constant(other, self.variables)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+        if other.__class__ is not MultiPoly:
+            if isinstance(other, (FieldElem, int, Fraction)):
+                other = MultiPoly.constant(other, self.variables)
+            elif not isinstance(other, MultiPoly):
+                return NotImplemented
         if other.variables != self.variables:
             raise DescriptorMismatchError("polynomials in different variable lists")
         return self.terms == other.terms
@@ -1189,10 +1194,18 @@ def gcd(f, g):
     """Gcd of two polynomials in one variable list, graded-lex leading
     coefficient 1 (zero when both are zero).
 
-    Both are read in the last variable either involves.  When no other
-    variable appears, Euclid runs over the field on dense FieldElem lists
-    with a monic divisor.  Otherwise, over Q, the modular certificate of
-    :func:`_coprime_mod_p` answers 1 for most coprime pairs, the common
+    When either side is one term, the answer is in closed form, over Q or
+    Q(g) and in any number of variables: the divisors of a monomial are
+    monomials, so the gcd is the monomial whose exponent in each variable
+    is the least over all terms of both sides, 1 for a nonzero constant.
+    This is the monomial case that Fulton's properties also settle for an
+    intersection number (W. Fulton, Algebraic Curves, sec. 3.3), which
+    ``localmult`` reads in closed form the same way.
+
+    Otherwise both are read in the last variable either involves.  When no
+    other variable appears, Euclid runs over the field on dense FieldElem
+    lists with a monic divisor.  Otherwise, over Q, the modular certificate
+    of :func:`_coprime_mod_p` answers 1 for most coprime pairs, the common
     case, in microseconds.  When it does not hold, or over Q(g), a
     primitive pseudo-remainder sequence runs in that variable, and the
     contents (gcds of the coefficients) come from ``gcd`` in the earlier
@@ -1202,10 +1215,11 @@ def gcd(f, g):
     if f.is_zero or g.is_zero:
         return _normalize_lead(g if f.is_zero else f)
     variables, desc = f.variables, f.descriptor
-    one = MultiPoly.constant(1, variables, desc)
-    if f.is_constant or g.is_constant:
+    if len(f.terms) == 1 or len(g.terms) == 1:
         # no dense coefficient list: its length is the degree, not the terms
-        return one
+        return MultiPoly._make(variables, desc, {tuple(map(min, *f.terms, *g.terms)):
+                                                 FieldElem._make(desc, (1,), 1)})
+    one = MultiPoly.constant(1, variables, desc)
     i = max(j for p in (f, g) for k in p.terms for j, e in enumerate(k) if e)
     var = variables[i]
     if not any(any(k[:i]) for p in (f, g) for k in p.terms):

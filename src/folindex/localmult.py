@@ -5,10 +5,17 @@ evaluates the colength of the ideal (f, g) in the local ring at a point.
 It is field-agnostic and independent of the series-expansion machinery,
 which lets the two act as oracles for each other in the test suite.
 
-One step function restricts to the second axis; the other axis order is
-the same function on the pair with each term's exponents swapped, and
-the two run in lockstep, since high contact along one axis can cost
-thousands of steps in one order and a few in the other.  A finite
+When one side is a monomial c*x^a*y^b at the point, no recursion runs:
+Fulton's properties give I(c*x^a*y^b, g) = a*I(x, g) + b*I(y, g), and
+I(x, g) is the order in y of g(0, y) (W. Fulton, Algebraic Curves,
+sec. 3.3), so the colength is read off g's terms.  The corpus's divisors
+(x*y*z), fields ((x, 2*y)) and chart partials (u^2, 2*u*v) make this the
+common case.
+
+Otherwise one step function restricts to the second axis; the other
+axis order is the same function on the pair with each term's exponents
+swapped, and the two run in lockstep, since high contact along one axis
+can cost thousands of steps in one order and a few in the other.  A finite
 colength proves that f and g share no component through the point (for
 a Milnor number, that the curve is reduced there).  When neither order
 has finished after a few steps, one gcd of the untranslated pair,
@@ -88,13 +95,28 @@ def _fulton(f, g):
 
 
 def _colength(f, g, p):
-    """The colength of (f, g) at p from whichever axis order of Fulton's
-    recursion finishes first: the pair translated to the origin runs in
-    lockstep with its mirror, each term's two exponents swapped.  When
-    neither has finished after _LOCKSTEP_STEPS steps, a gcd of the
-    untranslated pair vanishing at p (a component through p) means
-    INFINITE."""
+    """The colength of (f, g) at p.  When either side, translated to the
+    origin, is one term c*x^a*y^b, it is a*I(x, h) + b*I(y, h) for the
+    other side h, where I(x, h) is the least y-exponent of h's terms free
+    of x, INFINITE when there is none (x divides h), and I(y, h) the same
+    with the axes swapped (Fulton, Algebraic Curves, sec. 3.3).  Otherwise
+    it comes from whichever axis order of Fulton's recursion finishes
+    first: the translated pair runs in lockstep with its mirror, each
+    term's two exponents swapped.  When neither has finished after
+    _LOCKSTEP_STEPS steps, a gcd of the untranslated pair vanishing at p
+    (a component through p) means INFINITE."""
     ft, gt = (translate_to_origin(h, p) for h in (f, g))
+    for m, h in ((ft, gt), (gt, ft)):
+        if len(m.terms) == 1:
+            (a, b), = m.terms
+            total = 0
+            for e, axis in ((a, 0), (b, 1)):
+                if e:
+                    order = min((k[1 - axis] for k in h.terms if not k[axis]), default=None)
+                    if order is None:
+                        return INFINITE
+                    total += e * order
+            return total
     runs = (_fulton(ft, gt), _fulton(*(
         MultiPoly._make(h.variables, h.descriptor, {(j, i): c for (i, j), c in h.terms.items()})
         for h in (ft, gt))))

@@ -573,13 +573,41 @@ def test_squarefree_check_costs_terms_not_degree(tmp_path, divisor):
     assert proc.stdout.startswith("PUISEUX_BRANCHES = 1")
 
 
-@pytest.mark.parametrize("divisor", ["x^100000000*y - x^100000001",
-                                     "y^3 - x^100000000*y - x^3",
+@pytest.mark.parametrize("divisor, code, out", [
+    # x^(10^8)*(y - x): f_y = x^(10^8) is a monomial, so gcd(f_x, f_y) is
+    # x^(10^8 - 1) in closed form, which vanishes at the origin
+    pytest.param("x^100000000*y - x^100000001", 2,
+                 "error: curve is not reduced at the point\n", id="x^100000000*y - x^100000001"),
+    # the y-contents of f_x, -3*x^2 and -10^8*x^(10^8 - 1), are monomials;
+    # the Newton polygon's one edge, y^3 - x^3, has three simple roots
+    pytest.param("y^3 - x^100000000*y - x^3", 0, "PUISEUX_BRANCHES = 3\n",
+                 id="y^3 - x^100000000*y - x^3"),
+])
+def test_a_monomial_gcd_needs_no_dense_list(tmp_path, divisor, code, out):
+    # degree 10^8 in x, but each gcd the square-free check needs has a
+    # one-term side, so it is read off the exponents with no dense list
+    doc = {"variables": ["x", "y"],
+           "germ": {"vector_field": ["x", "y"], "divisor": divisor}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "folindex.cli", "puiseux",
+         "--input", write_problem(tmp_path, doc)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=20,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == out
+    else:
+        assert proc.stdout.startswith(out)
+
+
+@pytest.mark.parametrize("divisor", ["x^100000000*y - x^100000001 + x^2*y - x^3",
+                                     "(x^100000000 + x)*y^2 + (x^100000000 - x)*y",
                                      "x*y - x^100000000 - y^100000000"])
 def test_dense_list_past_the_width_cap_is_exit_4(tmp_path, divisor):
-    # no y-coefficient is a unit, so the square-free check needs a dense
-    # list as long as a degree of 10^8 (in _univariate_coeffs, in the
-    # remainders of gcd, in coeffs_in): the width cap refuses it
+    # no y-coefficient is a unit, and the square-free check needs a gcd of
+    # two polynomials of more than one term and degree about 10^8 (of the
+    # y-contents of a partial in the first two, in _univariate_coeffs; of
+    # the partials in the last, in coeffs_in): the width cap refuses it
     doc = {"variables": ["x", "y"],
            "germ": {"vector_field": ["x", "y"], "divisor": divisor}}
     proc = subprocess.run(

@@ -549,6 +549,11 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 term_lists = st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                 st.tuples(small, small)), max_size=4)
 
+# (exponents, (a, b)) terms in up to three variables; a two-variable draw
+# drops the z exponents
+term_lists3 = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3),
+                                 st.tuples(small, small)), max_size=4)
+
 
 def _poly_from_terms(terms, variables, desc):
     p = MultiPoly.zero(variables, desc)
@@ -570,15 +575,18 @@ ZERO, ONE, X = [], [((0, 0), (1, 0))], [((1, 0), (1, 0))]
 @example(SQRT2, V2, ONE, [((2, 1), (0, 1))], X)   # a constant side
 @example(QQ, V2, [((0, 2), (1, 0))], [((3, 0), (1, 0))], ONE)   # a side free of y
 def test_gcd_matches_the_sympy_gcd(desc, variables, f, g, h):
-    # sympy's sparse ring is an independent gcd; it makes the result monic in
-    # lex order and folindex in graded-lex order, so they agree up to a constant
     f, g, h = (_poly_from_terms(t, variables, desc) for t in (f, g, h))
     F, G = f * h, g * h
-    d = gcd(F, G)
-    R, to_sympy, from_sympy = _sympy_ring(desc, f"_v:{len(variables)}")
+    _assert_sympy_gcd(gcd(F, G), F, G)
+
+
+def _assert_sympy_gcd(d, F, G):
+    # sympy's sparse ring is an independent gcd; it makes the result monic in
+    # lex order and folindex in graded-lex order, so they agree up to a constant
+    R, to_sympy, from_sympy = _sympy_ring(F.descriptor, f"_v:{len(F.variables)}")
     s = R.from_dict({k: to_sympy(c) for k, c in F.terms.items()}).gcd(
         R.from_dict({k: to_sympy(c) for k, c in G.terms.items()}))
-    expected = MultiPoly(variables, desc, {k: from_sympy(c) for k, c in s.items()})
+    expected = MultiPoly(F.variables, F.descriptor, {k: from_sympy(c) for k, c in s.items()})
     if expected.is_zero:
         assert d.is_zero
     else:
@@ -586,10 +594,33 @@ def test_gcd_matches_the_sympy_gcd(desc, variables, f, g, h):
         assert d * expected.leading()[1] == expected
 
 
-# (exponents, (a, b)) terms in up to three variables; a two-variable draw
-# drops the z exponents
-term_lists3 = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3),
-                                 st.tuples(small, small)), max_size=4)
+# (exponents, (a, b)) for one nonzero term (a + b*r) x^i y^j z^k
+monomials3 = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.tuples(small.filter(bool), small))
+
+
+def _refused(*args):
+    raise AssertionError("a gcd with a one-term side ran the general algorithm")
+
+
+@settings(max_examples=150, deadline=None, print_blob=True)
+@given(st.sampled_from([QQ, SQRT2]), st.sampled_from([V2, V3]), monomials3, term_lists3)
+@example(QQ, V2, ((0, 0, 0), (3, 0)), [((1, 2, 0), (1, 0)), ((0, 1, 0), (2, 0))])  # a constant
+@example(SQRT2, V3, ((2, 1, 1), (1, 1)),                                            # x*z shared
+         [((3, 0, 2), (1, 0)), ((1, 2, 1), (0, 1))])
+@example(QQ, V3, ((1, 0, 0), (1, 0)), [((0, 1, 0), (1, 0)), ((2, 0, 0), (1, 0))])   # coprime
+def test_a_monomial_side_gives_the_sympy_gcd(desc, variables, m, f):
+    """A one-term side is answered from the exponents alone, and that is
+    sympy's gcd, on either side, over Q and Q(r), in two and three
+    variables."""
+    m, f = _poly_from_terms([m], variables, desc), _poly_from_terms(f, variables, desc)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_coprime_mod_p", "_prem", "_univariate_coeffs"):
+            mp.setattr(exactcore, name, _refused)
+        left, right = gcd(m, f), gcd(f, m)
+    assert left == right
+    _assert_sympy_gcd(left, m, f)
+
+
 # (variables, free, vanishing): h, the common factor, has every exponent in
 # the variables of the indices in ``free`` zeroed (all but one at most), and
 # f is multiplied by _VANISHING[variables][vanishing] (None: by nothing)
@@ -776,8 +807,15 @@ def test_dense_lists_stop_at_the_width_cap():
         _univariate_coeffs(over, "x")
     with pytest.raises(ResourceCapError):
         over.coeffs_in("x")
+    # the y-contents x^(top + 1) + 1 and gcd(x, x^(top + 1)) = x: a one-term
+    # side is read off the exponents, so no list is built
+    assert gcd(over * P2("y"), P2(f"x^{top + 1}*y^2 + x")) == P2("1")
+    # the y-contents of the second side, x + 1 and x^(top + 1) + x, have
+    # more than one term each, so their gcd needs a dense list
     with pytest.raises(ResourceCapError):
-        gcd(over * P2("y"), P2(f"x^{top + 1}*y^2 + x"))
+        gcd(over * P2("y"), P2(f"(x^{top + 1} + x)*y^2 + x + 1"))
+    with pytest.raises(ResourceCapError):
+        gcd(over, P2(f"x^{top + 1} + x"))
 
 
 # ------------------------------------------------ invariants of every result
@@ -1057,6 +1095,28 @@ def test_rational_equality_and_hash_match_int_and_fraction(q, n, desc):
     assert (e * e) == q * q and (e + n) == q + n and (e - n) == q - n
     if q:
         assert e.inverse() == 1 / q and (n / e) == n / q
+
+
+class _Half(Fraction):
+    pass
+
+
+def test_bools_and_fraction_subclasses_still_take_the_scalar_path():
+    # operations test the exact class before isinstance; a bool, a Fraction
+    # subclass and an unrelated type must still take the paths they took
+    x = P2("x")
+    assert x + True == P2("x + 1") and True + x == P2("x + 1")
+    assert (x + True).descriptor == QQ
+    assert x * True == x and x != True and P2("1") == True
+    half = fe(Fraction(3, 2))
+    assert half - True == fe(Fraction(1, 2)) and True - half == fe(Fraction(-1, 2))
+    assert half == Fraction(3, 2) and half != True and fe(1) == True
+    assert x + _Half(1, 2) == P2("x + 1/2")
+    assert half == _Half(3, 2) and half - _Half(1, 2) == 1
+    for value in (x, half):
+        for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+            assert getattr(value, op)("a") is NotImplemented
+    assert x.__eq__(1.5) is NotImplemented and half.__eq__(1.5) is NotImplemented
 
 
 @pytest.mark.parametrize("build", [

@@ -6,11 +6,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import folindex.cli as cli
 import folindex.localmult as localmult
 from folindex.exactcore import (
+    QQ,
     FieldDescriptor,
     FieldElem,
     MultiPoly,
@@ -26,7 +27,7 @@ from folindex.localmult import (
     milnor_number,
 )
 
-from conftest import ORIGIN, P2, branch_order_sum, dual_oracle_pairs
+from conftest import ORIGIN, P2, V2, branch_order_sum, dual_oracle_pairs
 from test_exactcore import polys
 
 CUSP = P2("y^2 - x^3")
@@ -117,6 +118,42 @@ def test_swapping_the_axes_keeps_the_number(f, g):
     if f.is_zero or g.is_zero:
         return
     assert I0(_swapped(f), _swapped(g)) == I0(f, g)
+
+
+def _refused(*args):
+    raise AssertionError("a pair with a one-term side ran the recursion")
+
+
+def _drained(f, g):
+    """The values that both axis orders of Fulton's recursion give on
+    (f, g), each run on its own to its end (an order that meets a shared
+    component other than its axis gives none)."""
+    runs = (localmult._fulton(f, g), localmult._fulton(_swapped(f), _swapped(g)))
+    return {value for run in runs for value in run if value is not None}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, 2, -1 + SQRT2]), polys(),
+       st.sampled_from(["1", "x", "y", "x*y"]))
+@example(1, 0, 1, P2("y - x^2"), "1")      # I(x, g) = 1 but I(y, g) = 2
+@example(0, 2, 1, P2("x^3 + y"), "1")      # 2*I(y, g) = 6
+@example(1, 1, 2, P2("y + 1"), "x")        # x divides both: INFINITE
+@example(0, 0, 1, P2("x + y"), "x*y")      # a unit: 0
+def test_a_monomial_side_gives_the_drained_recursion(a, b, c, g, factor):
+    """c*x^a*y^b against g, times x, y or x*y so that an axis can divide
+    both: the colength read off g's terms is the value that Fulton's
+    recursion reaches when both axis orders run to their end."""
+    m = MultiPoly(V2, QQ, {(a, b): 1}) * c
+    g = g * P2(factor)
+    if g.is_zero:
+        return
+    m, g = m._pair(g)
+    expected, = _drained(m, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localmult, "_fulton", _refused)
+        mp.setattr(localmult, "gcd", _refused)
+        assert localmult._colength(m, g, ORIGIN) == expected
+        assert localmult._colength(g, m, ORIGIN) == expected
 
 
 # ------------------------------------------------------ finiteness decision
