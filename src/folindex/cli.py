@@ -20,7 +20,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .chern import (
     CSMClass,
@@ -215,11 +214,11 @@ def _parse(text, variables, descriptor):
 # -- report serialization ----------------------------------------------------
 
 def _jsonable(value):
-    if isinstance(value, bool):
+    # a Fraction takes the final str(value) untested: isinstance against
+    # Fraction, an ABC, is slow, and every value of a report passes here
+    if isinstance(value, (str, bool)):
         return value
     if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, FieldElem):
         return value.to_str()

@@ -7,14 +7,16 @@ whoever made the germ (``foliation.localize`` and the divisor germs of
 to each polynomial).  Each curve is prepared once per computation: it
 becomes a ``_LocalCurve`` that carries its reducedness proof, its Milnor
 number and its branch expansions, so the Euler obstruction, the GSV
-correction and the irreducibility test of one computation share them
+fallback and the irreducibility test of one computation share them
 instead of checking and expanding again.  Branch computations double
 their truncation order up to ``_PRECISION_CAP``; a field that vanishes
 along a branch, which no precision certifies, is refused at once.
 
 The computable surface is: the Poincare-Hopf index as a colength, the
 Euler obstruction pairing of the field with an invariant curve through
-branch lifts, the GSV and Schwartz indices derived from it, the
+branch lifts, the GSV index as a difference of two colengths (through
+the Euler obstruction when those do not settle it) and the Schwartz
+index derived from it, the
 logarithmic index with respect to a free-divisor basis, and the derived
 multiplicity / polar / chi quantities.  n = 2 is baked into every sign;
 the reports carry their ingredients so each value can be recomputed from
@@ -36,7 +38,8 @@ from .exactcore import (
     gcd,
     try_divide,
 )
-from .localmult import INFINITE, curve_multiplicity, intersection_multiplicity, milnor_number
+from .localmult import (INFINITE, _colength, curve_multiplicity, intersection_multiplicity,
+                        milnor_number)
 from .puiseux import (InsufficientPrecisionError, _checked_germ, _germ_branches,
                       _polygon_edges, nash_lift_order)
 
@@ -220,24 +223,96 @@ def _pairing(v, curve, fl):
 
 
 def gsv_index(v, f):
-    """Euler obstruction corrected by Milnor number and multiplicity."""
+    """The order along V(f) of v / X_f: Euler obstruction + 1 - mu - m."""
     return _gsv(v, _LocalCurve(_curve_over(v, f)))
 
 
 def _gsv(v, curve):
+    """The GSV index of ``v`` along ``curve``: the order along the curve of
+    v / X_f, where X_f = (-f_y, f_x), read off two colengths by
+    ``_colength_gsv``, or else Eu + 1 - mu - m from the Euler
+    obstruction's branch pairing, with its refusals.  The report's
+    ``euler_obstruction`` is GSV - 1 + mu + m either way: on the colength
+    route it is derived from the index, not computed, so it is no
+    independent check of it, and ``euobs`` may refuse a germ whose
+    ``gsv`` report carries it."""
     fl = _tangent_equation(v, curve)
-    # mu before any expansion: a finite mu proves the curve reduced, so the
+    # mu before any expansion: a finite mu proves the curve reduced, so
+    # I(f, h) is the sum of h's orders along the branches, and a fallback
     # expansion runs no gcd test
     mu = curve.milnor()
-    eu = _pairing(v, curve, fl)
     m = curve_multiplicity(curve.poly, _ORIGIN)
-    value = eu.value + 1 - mu - m
+    value = _colength_gsv(v, fl)
+    if value is None:
+        value = _pairing(v, curve, fl).value + 1 - mu - m
     return IndexReport("GSV", value, {
-        "euler_obstruction": eu.value,
+        "euler_obstruction": value - 1 + mu + m,
         "milnor": mu,
         "multiplicity": m,
         "mu_sign": -1,  # (-1)^(n-1) with n = 2
     })
+
+
+def _colength_gsv(v, fl):
+    """GSV = I(f, lambda*a + mu*b) - I(f, mu*f_x - lambda*f_y) for v = (a, b)
+    tangent to the reduced curve f = 0, or None when undecided.
+
+    Along each branch both v and X_f are multiples of the branch's
+    tangent, so lambda*a + mu*b is v / X_f times mu*f_x - lambda*f_y
+    there, and I(f, h) sums h's orders along the branches (Gomez-Mont,
+    J. Algebraic Geom. 7, 1998; Brunella, Publ. Mat. 41, 1997).  Two
+    finite colengths prove that neither form vanishes on a branch, so the
+    first direction giving them answers.  A constant multiple of X_f has
+    index 0 with no recursion.  None when a colength needs more than
+    ``localmult._LOCKSTEP_STEPS`` steps per axis order, or when every
+    direction meets an infinite one."""
+    a, b = v.components
+    fl, a = fl._pair(a)
+    fl, b = fl._pair(b)
+    x, y = fl.variables
+    fx, fy = fl.diff(x), fl.diff(y)
+    if _constant_multiple(a, b, -fy, fx):
+        return 0
+    for num, den in _direction_forms(a, b, fx, fy):
+        if num.is_zero or den.is_zero:
+            continue
+        top = _colength(fl, num, _ORIGIN, bounded=True)
+        if top is None:
+            return None
+        if top is INFINITE:
+            continue
+        bottom = _colength(fl, den, _ORIGIN, bounded=True)
+        if bottom is None:
+            return None
+        if bottom is not INFINITE:
+            return top - bottom
+    return None
+
+
+def _direction_forms(a, b, fx, fy):
+    """(lambda*a + mu*b, mu*f_x - lambda*f_y) up to sign, for (lambda, mu) =
+    (1, 0), (0, 1), (1, 1), (1, -1), (1, 2) in turn; colengths ignore the
+    sign, so the first two need no arithmetic."""
+    yield a, fy
+    yield b, fx
+    yield a + b, fx - fy
+    yield a - b, fx + fy
+    yield a + b * 2, fx * 2 - fy
+
+
+def _constant_multiple(a, b, p, q):
+    """True when (a, b) = c*(p, q) for a nonzero constant c; (p, q) is nonzero."""
+    c = None
+    for s, t in ((a, p), (b, q)):
+        if s.terms.keys() != t.terms.keys():
+            return False
+        for k, coeff in t.terms.items():
+            r = s.terms[k] / coeff
+            if c is None:
+                c = r
+            elif r != c:
+                return False
+    return True
 
 
 def schwartz_index(v, f):
@@ -330,7 +405,7 @@ def mu_along_curve(v, curve):
     # then refused before its Milnor number, which can take far longer
     if not _adaptive(local, _one_branch):
         raise PreconditionError("curve germ is not irreducible")
-    # the GSV index computes mu; the Euler obstruction starts from the
+    # the GSV index computes mu; its branch fallback starts from the
     # branches just expanded
     s = _schwartz_of(_gsv(v, local))
     ing = dict(s.ingredients)

@@ -36,8 +36,8 @@ from .exactcore import (
 INFINITE = _Sentinel("INFINITE")
 
 # Steps allowed to each axis order of Fulton's recursion, and the steps
-# per order after which the gcd fallback runs (every corpus call finishes
-# within 7).
+# per order after which the gcd fallback runs, or a bounded colength
+# stops unfinished (every corpus call finishes within 7).
 _DEPTH_CAP = 10 ** 4
 _LOCKSTEP_STEPS = 16
 
@@ -94,7 +94,7 @@ def _fulton(f, g):
         yield None
 
 
-def _colength(f, g, p):
+def _colength(f, g, p, bounded=False):
     """The colength of (f, g) at p.  When either side, translated to the
     origin, is one term c*x^a*y^b, it is a*I(x, h) + b*I(y, h) for the
     other side h, where I(x, h) is the least y-exponent of h's terms free
@@ -104,7 +104,8 @@ def _colength(f, g, p):
     first: the translated pair runs in lockstep with its mirror, each
     term's two exponents swapped.  When neither has finished after
     _LOCKSTEP_STEPS steps, a gcd of the untranslated pair vanishing at p
-    (a component through p) means INFINITE."""
+    (a component through p) means INFINITE; when ``bounded``, no gcd runs
+    and the answer is None, unfinished, for a caller with another route."""
     ft, gt = (translate_to_origin(h, p) for h in (f, g))
     for m, h in ((ft, gt), (gt, ft)):
         if len(m.terms) == 1:
@@ -121,8 +122,11 @@ def _colength(f, g, p):
         MultiPoly._make(h.variables, h.descriptor, {(j, i): c for (i, j), c in h.terms.items()})
         for h in (ft, gt))))
     for step in range(_DEPTH_CAP + 1):
-        if step == _LOCKSTEP_STEPS and gcd(f, g).evaluate(dict(zip(f.variables, p))).is_zero:
-            return INFINITE
+        if step == _LOCKSTEP_STEPS:
+            if bounded:
+                return None
+            if gcd(f, g).evaluate(dict(zip(f.variables, p))).is_zero:
+                return INFINITE
         for run in runs:
             value = next(run)
             if value is not None:

@@ -6,10 +6,12 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import folindex.cli as cli
+from folindex.exactcore import QQ, FieldDescriptor, FieldElem
 from folindex.verify import GlobalReport
 
 from conftest import subprocess_env
@@ -126,6 +128,24 @@ THREE_BRANCH_FY = ("(y - x^5 - x^10)*(y + x^7) + (y - x^5)*(y + x^7)"
                    " + (y - x^5)*(y - x^5 - x^10)")
 THREE_BRANCH_FX = ("(-5*x^4)*(y - x^5 - x^10)*(y + x^7) + (y - x^5)*(-5*x^4 - 10*x^9)*(y + x^7)"
                    " + (y - x^5)*(y - x^5 - x^10)*(7*x^6)")
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+def test_report_values_serialize_to_fixed_strings():
+    # bools stay JSON booleans; numbers, field elements and unknown objects
+    # become strings; tuples become lists; keys become strings
+    r = FieldDescriptor.simple_extension("r", [-2, 0, 1])
+    value = {"yes": True, "no": False, "n": -3, "q": Fraction(3, 2), "whole": Fraction(4, 2),
+             "sub": _FractionSubclass(1, 2), "e": FieldElem(r, [1, -1]),
+             "q_elem": FieldElem.of(Fraction(-5, 3), QQ), 7: ((1, Fraction(1, 3)), [True, "x"]),
+             "nested": {"k": (FieldElem(r, [0, 1]), [[0]])}, "none": None}
+    assert cli._jsonable(value) == {
+        "yes": True, "no": False, "n": "-3", "q": "3/2", "whole": "2", "sub": "1/2",
+        "e": "1 - r", "q_elem": "-5/3", "7": [["1", "1/3"], [True, "x"]],
+        "nested": {"k": ["r", [["0"]]]}, "none": "None"}
 
 
 @pytest.mark.parametrize("kind, value", [("ph", "38"), ("gsv", "0")])
@@ -514,6 +534,38 @@ def test_precision_cap_is_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: precision cap 512 reached before the computation was certified\n")
     assert elapsed < 5, f"{elapsed:.1f} s"
+
+
+def test_gsv_past_the_precision_cap_answers(tmp_path, capsys):
+    # the same germ: the GSV index of a Hamiltonian field is 0 with no
+    # branch expansion, so it answers where the Euler obstruction cannot
+    code, elapsed = _timed_main(tmp_path, ["index", "--kind", "gsv"],
+                                _deep_contact_hamiltonian(600))
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("GSV = 0\n")
+    assert 'euler_obstruction: "1200"' in out and 'milnor: "1199"' in out
+    assert elapsed < 5, f"{elapsed:.1f} s"
+
+
+# the Hamiltonian field of y^2 - 3*x^2 over Q(sqrt 2): its branches
+# y = +-sqrt(3)*x need a second extension
+NODE_SQRT3_OVER_SQRT2 = {
+    "variables": ["x", "y"],
+    "field": {"generator": "r", "minpoly": "r^2 - 2"},
+    "germ": {"vector_field": ["2*y", "6*x"], "divisor": "y^2 - 3*x^2"},
+}
+
+
+def test_gsv_needs_no_branches_over_a_field_without_them(tmp_path, capsys):
+    code, payload = run(tmp_path, ["index", "--kind", "gsv"], NODE_SQRT3_OVER_SQRT2)
+    assert code == 0
+    assert payload["value"] == "0"
+    assert payload["ingredients"] == {"euler_obstruction": "2", "milnor": "1",
+                                      "multiplicity": "2", "mu_sign": "-1"}
+    code, _ = run(tmp_path, ["index", "--kind", "euobs"], NODE_SQRT3_OVER_SQRT2)
+    assert code == 2
+    assert capsys.readouterr().err == "error: branch needs a second field extension\n"
 
 
 def test_contact_below_the_cap_certifies(tmp_path, capsys):
