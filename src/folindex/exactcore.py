@@ -216,17 +216,13 @@ class FieldDescriptor:
         return hash(self._key())
 
     @staticmethod
-    def rationals():
-        return _QQ
-
-    @staticmethod
     def simple_extension(generator_name, minpoly_coeffs):
         coeffs = tuple(Fraction(_exact(c)) for c in minpoly_coeffs)
         if len(coeffs) < 3:
             raise PreconditionError("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise PreconditionError("minimal polynomial must be monic")
-        _, factors = factor_univariate(coeffs, _QQ)
+        _, factors = factor_univariate(coeffs, QQ)
         if len(factors) > 1 or factors[0][1] > 1:
             raise PreconditionError("minimal polynomial is not irreducible over Q")
         return FieldDescriptor._trusted_extension(generator_name, coeffs)
@@ -260,8 +256,7 @@ class FieldDescriptor:
         return f"QQ({self.generator_name})"
 
 
-_QQ = FieldDescriptor("rationals")
-QQ = _QQ
+QQ = FieldDescriptor("rationals")
 
 
 def _join(*descriptors):
@@ -1140,13 +1135,6 @@ def try_divide(f, g):
     return MultiPoly._make(f.variables, f.descriptor, q)
 
 
-def divides(g, f):
-    """True when g divides f exactly in the polynomial ring."""
-    if g.is_zero:
-        return f.is_zero
-    return try_divide(f, g) is not None
-
-
 def divexact(f, g):
     q = try_divide(f, g)
     if q is None:
@@ -1309,10 +1297,7 @@ def _coprime_mod_p(f, g):
                 break
         else:
             return False
-        r0, r1 = images
-        while r1:
-            r0, r1 = r1, _rem_mod(r0, r1, p)
-        if len(r0) > 1:
+        if len(_gcd_mod(*images, p)) > 1:
             return False
     return True
 
@@ -1583,6 +1568,15 @@ def _rem_mod(a, b, p):
     return a
 
 
+def _gcd_mod(a, b, p):
+    """The last nonzero remainder of Euclid over F_p on the integer lists a,
+    with a leading coefficient prime to p, and b, empty or likewise: their
+    gcd up to a unit, so longer than 1 exactly when they share a factor."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return a
+
+
 def _irreducible_mod(f, p):
     """Whether the integer list f, with a leading coefficient prime to p, is
     irreducible over F_p, by Ben-Or's test (von zur Gathen & Gerhard, Modern
@@ -1594,10 +1588,8 @@ def _irreducible_mod(f, p):
         power = [0] * (p * len(h) - p + 1)
         power[::p] = h
         h = _rem_mod(power, f, p)
-        a, b = f, _strip([c - (i == 1) for i, c in enumerate(h + [0] * (2 - len(h)))])
-        while b:
-            a, b = b, _rem_mod(a, b, p)
-        if len(a) > 1:
+        h_minus_x = _strip([c - (i == 1) for i, c in enumerate(h + [0] * (2 - len(h)))])
+        if len(_gcd_mod(f, h_minus_x, p)) > 1:
             return False
     return True
 

@@ -21,7 +21,6 @@ from folindex.exactcore import (
     PreconditionError,
     ResourceCapError,
     divexact,
-    divides,
     factor_univariate,
     gcd,
     parse_poly,
@@ -498,9 +497,9 @@ def test_translate_to_origin_by_zero_keeps_the_arity_check():
 def test_divisibility():
     f = P2("x^2 - y^2")
     g = P2("x - y")
-    assert divides(g, f)
+    assert try_divide(f, g) is not None
     assert divexact(f, g) == P2("x + y")
-    assert not divides(P2("x + 2*y"), f)
+    assert try_divide(f, P2("x + 2*y")) is None
     with pytest.raises(PreconditionError):
         divexact(g, f)
 
@@ -530,7 +529,7 @@ def test_gcd_bivariate():
     g = P2("x^2 + 2*x*y + y^2")
     d = gcd(f, g)
     assert d.total_degree() == 1
-    assert divides(d, f) and divides(d, g)
+    assert try_divide(f, d) is not None and try_divide(g, d) is not None
     assert gcd(P2("x"), P2("y")).is_constant
 
 
@@ -540,7 +539,7 @@ def test_gcd_univariate():
     g = P2("(y - 1) * y")
     d = gcd(f, g)
     assert d.total_degree() == 1
-    assert divides(d, f) and divides(d, g)
+    assert try_divide(f, d) is not None and try_divide(g, d) is not None
     assert gcd(P2("y + 1"), P2("y - 1")).is_constant
 
 

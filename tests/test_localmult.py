@@ -17,7 +17,8 @@ from folindex.exactcore import (
     MultiPoly,
     NonReducedError,
     PreconditionError,
-    divides,
+    substitute,
+    try_divide,
 )
 from folindex.indices import VectorFieldGerm, euler_obstruction_field
 from folindex.localmult import (
@@ -280,20 +281,35 @@ def test_branch_expansion_agrees_with_recursion():
         assert total == fulton, f"disagreement on f={f!r} g={g!r}"
 
 
+# The curves the polar identity is checked on beside the sampled ones:
+# classical germs, then three random germs of degree <= 4
+POLAR_GERMS = ("x*y", "y^2 - x^3", "y^2 - x^4", "y^2 - 2*x^2", "y^2 - x^5",
+               "x*y*(x + y)", "(y - x^2)*(y + x^2)", "y^3 - x^2",
+               "(y^2 - x^3)*(y + x)",
+               "x^4 + 2*x*y^3 - 3*x", "y^4 - 2*x^3", "-3*y^4 + x^2")
+
+
 def test_polar_identity_matches_the_milnor_number():
     """Teissier's polar identity mu(f) = I(f, f_y) - I(f, x) + 1 for reduced
     f without the component x = 0 (B. Teissier, Cycles evanescents,
     sections planes et conditions de Whitney, Asterisque 7-8, 1973).  Its
     right side is read from branch orders alone, so it checks Fulton's
-    recursion in milnor_number against an independent computation."""
-    x = P2("x")
-    checked = 0
-    for f, _, _, _ in dual_oracle_pairs(count=25, seed=20260822):
-        fy = f.diff("y")
-        if fy.is_zero or divides(x, f):
-            continue
-        polar, transversal = branch_order_sum(f, fy), branch_order_sum(f, x)
-        assert polar is not None and transversal is not None, f"no order on f={f!r}"
-        assert milnor_number(f, ORIGIN) == polar - transversal + 1, f"disagreement on f={f!r}"
-        checked += 1
-    assert checked == 17  # the other 8 have x = 0 as a component
+    recursion in milnor_number against an independent computation.  A germ
+    with the component x = 0 is sheared first, x -> x + c*y for c = 1, 2,
+    ... until x no longer divides it; a linear change keeps mu, so no germ
+    is skipped."""
+    x, y = P2("x"), P2("y")
+    germs = [f for f, _, _, _ in dual_oracle_pairs(count=25, seed=20260822)]
+    germs += [P2(text) for text in POLAR_GERMS]
+    sheared = 0
+    for f in germs:
+        g, c = f, 0
+        while try_divide(g, x) is not None:
+            c += 1
+            g = substitute(f, {"x": x + c * y, "y": y})
+        sheared += c > 0
+        polar, transversal = branch_order_sum(g, g.diff("y")), branch_order_sum(g, x)
+        assert polar is not None and transversal is not None, f"no order on f={f!r}, c={c}"
+        assert milnor_number(f, ORIGIN) == polar - transversal + 1, f"disagreement on f={f!r}, c={c}"
+    # 8 sampled germs, x*y, x*y*(x + y) and x^4 + 2*x*y^3 - 3*x are sheared
+    assert (len(germs), sheared) == (37, 11)
