@@ -1,10 +1,11 @@
-"""Regenerate the bundled corpus of problem files and expected reports.
+"""Refresh the stored corpus reports from the checked-in problems and manifest.
 
-Each entry is one CLI invocation: a problem file, the argv that consumes
-it, and the report the current code produces.  The test suite replays
-every entry and demands byte-identical reports, so this script is the
-one place where expected outputs get refreshed after a deliberate
-change.  Run from the repository root:
+`corpus/problems/*.json` and `corpus/manifest.json` define the corpus; each
+manifest entry names a problem file, the argv that consumes it and the
+report it should produce.  This script reruns every entry through the CLI
+and writes its report in place, so after a deliberate change to the report
+format `git diff -- corpus/` shows exactly what moved.  Every entry must
+exit 0.  Run from the repository root:
 
     python3 scripts/make_corpus.py
 """
@@ -19,179 +20,16 @@ from folindex.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
-V2 = ["x", "y"]
-V3 = ["x", "y", "z"]
 
-
-def germ(field, divisor=None, log_basis=None, balanced=None):
-    g = {"vector_field": list(field)}
-    if divisor is not None:
-        g["divisor"] = divisor
-    if log_basis is not None:
-        g["log_basis"] = [list(r) for r in log_basis]
-    if balanced is not None:
-        g["balanced_divisor"] = [{"curve": c, "coeff": a} for c, a in balanced]
-    return {"variables": V2, "germ": g}
-
-
-def foliation(field, divisor=None):
-    f = {"affine_field": list(field)}
-    if divisor is not None:
-        f["divisor"] = divisor
-    return {"variables": V3, "foliation": f}
-
-
-def chern(**kw):
-    return {"variables": [], "chern": kw}
-
-
-# the local-index table: three curve germs, each with the fields that
-# make sense for it (the node's Euler field is the radial field itself)
-NODE = "x*y"
-CUSP = "y^2 - x^3"
-TACNODE = "y^2 - x^4"
-
-PROBLEMS = {
-    "node_radial": germ(("x", "y"), NODE),
-    "node_hamiltonian": germ(("x", "-y"), NODE),
-    "cusp_radial": germ(("x", "y"), CUSP),
-    "cusp_euler": germ(("2*x", "3*y"), CUSP),
-    "cusp_hamiltonian": germ(("2*y", "3*x^2"), CUSP),
-    "tacnode_radial": germ(("x", "y"), TACNODE),
-    "tacnode_euler": germ(("2*x", "4*y"), TACNODE),
-    "tacnode_hamiltonian": germ(("2*y", "4*x^3"), TACNODE),
-    "conjugate_node": germ(("x", "y"), "y^2 - 2*x^2"),
-    "saddle_balanced": germ(("x", "-y"), balanced=[("x", 1), ("y", 1)]),
-    "cusp_hamiltonian_balanced": germ(("2*y", "3*x^2"),
-                                      balanced=[(CUSP, 1)]),
-    "cusp_euler_balanced": germ(("2*x", "3*y"), balanced=[(CUSP, 1)]),
-    "cusp_hamiltonian_saito": germ(("2*y", "3*x^2"), CUSP,
-                                   log_basis=[("2*x", "3*y"),
-                                              ("2*y", "3*x^2")]),
-    "rotation_sqrt2": {"variables": V2,
-                       "field": {"generator": "r", "minpoly": "r^2 - 2"},
-                       "germ": {"vector_field": ["x - r*y", "y + r*x"]}},
-    "radial_foliation": foliation(("x", "y")),
-    "diagonal_foliation": foliation(("x", "2*y")),
-    "diagonal_triangle": foliation(("x", "2*y"), "x*y*z"),
-    "diagonal_line": foliation(("x", "2*y"), "z"),
-    "diagonal_two_lines": foliation(("x", "2*y"), "x*y"),
-    "jouanolou": foliation(("y^2 - x^3", "1 - x^2*y")),
-    "nodal_hamiltonian": foliation(("2*y", "3*x^2 + 2*x"),
-                                   "y^2*z - x^3 - x^2*z"),
-    "cuspidal_hamiltonian": foliation(("2*y", "3*x^2"), "y^2*z - x^3"),
-    "plane_twist_1": chern(kind="plane", twist=-1),
-    "plane_twist_2": chern(kind="plane", twist=-2),
-    "nodal_cubic_csm": chern(kind="curve", degree=3, milnor_numbers=[1]),
-    "cuspidal_cubic_csm": chern(kind="curve", degree=3, milnor_numbers=[2]),
-    "line_csm": chern(kind="curve", degree=1),
-    "conic_complement": chern(kind="complement", degree=2),
-    "triangle_snc": chern(kind="snc", degrees=[1, 1, 1]),
-    "line_conic_snc": chern(kind="snc", degrees=[1, 2]),
-}
-
-# entry name -> (problem, argv tail); every entry must exit 0
-ENTRIES = {}
-
-
-def add(name, problem, *argv):
-    ENTRIES[name] = (problem, list(argv))
-
-
-# the radial field is tangent only to the node; the weighted-homogeneous
-# curves pair with their Euler fields instead
-for curve in ("node", "cusp", "tacnode"):
-    fields = ("radial", "hamiltonian") if curve == "node" \
-        else ("euler", "hamiltonian")
-    for fld in fields:
-        for kind in ("euobs", "gsv", "schwartz"):
-            add(f"{curve}_{fld}.{kind}", f"{curve}_{fld}",
-                "index", "--kind", kind)
-
-add("node_radial.ph", "node_radial", "index", "--kind", "ph")
-add("cusp_hamiltonian.ph", "cusp_hamiltonian", "index", "--kind", "ph")
-add("cusp_hamiltonian.mu-curve", "cusp_hamiltonian",
-    "index", "--kind", "mu-curve")
-add("cusp_hamiltonian.polar", "cusp_hamiltonian", "index", "--kind", "polar")
-add("conjugate_node.euobs", "conjugate_node", "index", "--kind", "euobs")
-add("conjugate_node.schwartz", "conjugate_node", "index", "--kind", "schwartz")
-add("saddle_balanced.chi", "saddle_balanced", "index", "--kind", "chi")
-add("cusp_hamiltonian_balanced.chi", "cusp_hamiltonian_balanced",
-    "index", "--kind", "chi")
-add("cusp_euler_balanced.chi", "cusp_euler_balanced", "index", "--kind", "chi")
-add("cusp_hamiltonian_saito.log", "cusp_hamiltonian_saito",
-    "index", "--kind", "log")
-add("rotation_sqrt2.ph", "rotation_sqrt2", "index", "--kind", "ph")
-
-add("cusp_hamiltonian.puiseux", "cusp_hamiltonian", "puiseux")
-add("conjugate_node.puiseux", "conjugate_node", "puiseux")
-add("tacnode_radial.puiseux", "tacnode_radial", "puiseux")
-
-add("node_radial.pairing_psi", "node_radial",
-    "confun", "--expr", "Psi[x*y]")
-add("node_radial.pairing_indicator", "node_radial",
-    "confun", "--expr", "1[x*y]")
-add("cusp_hamiltonian.pairing_eu", "cusp_hamiltonian",
-    "confun", "--expr", "Eu[y^2 - x^3]")
-add("saddle_balanced.pairing_complement", "saddle_balanced",
-    "confun", "--expr", "1[W] - 1[x] - 1[y] + 1[0]")
-
-add("radial_foliation.baum-bott", "radial_foliation",
-    "verify", "--theorem", "baum-bott")
-add("diagonal_foliation.baum-bott", "diagonal_foliation",
-    "verify", "--theorem", "baum-bott")
-add("jouanolou.baum-bott", "jouanolou", "verify", "--theorem", "baum-bott")
-add("nodal_hamiltonian.baum-bott", "nodal_hamiltonian",
-    "verify", "--theorem", "baum-bott")
-add("diagonal_triangle.seh", "diagonal_triangle", "verify", "--theorem", "seh")
-add("diagonal_line.seh", "diagonal_line", "verify", "--theorem", "seh")
-add("diagonal_two_lines.seh", "diagonal_two_lines",
-    "verify", "--theorem", "seh")
-add("nodal_hamiltonian.iso", "nodal_hamiltonian", "verify", "--theorem", "iso")
-add("cuspidal_hamiltonian.iso", "cuspidal_hamiltonian",
-    "verify", "--theorem", "iso")
-add("diagonal_line.iso", "diagonal_line", "verify", "--theorem", "iso")
-add("diagonal_line.total-gsv", "diagonal_line",
-    "verify", "--theorem", "total-gsv")
-add("nodal_hamiltonian.total-gsv", "nodal_hamiltonian",
-    "verify", "--theorem", "total-gsv")
-add("cuspidal_hamiltonian.total-gsv", "cuspidal_hamiltonian",
-    "verify", "--theorem", "total-gsv")
-
-for name in ("plane_twist_1", "plane_twist_2", "nodal_cubic_csm",
-             "cuspidal_cubic_csm", "line_csm", "conic_complement",
-             "triangle_snc", "line_conic_snc"):
-    add(f"{name}.chern", name, "chern")
-
-
-def write_json(path, doc):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def build():
-    problems = ROOT / "problems"
-    reports = ROOT / "reports"
-    for name, doc in PROBLEMS.items():
-        write_json(problems / f"{name}.json", doc)
-    manifest = []
-    for name, (problem, argv) in sorted(ENTRIES.items()):
-        ppath = f"problems/{problem}.json"
-        rpath = f"reports/{name}.json"
-        full = argv + ["--input", str(ROOT / ppath),
-                       "--json", str(reports / f"{name}.json")]
-        (reports / f"{name}.json").parent.mkdir(parents=True, exist_ok=True)
-        code = main(full)
+def refresh():
+    entries = json.loads((ROOT / "manifest.json").read_text())["entries"]
+    for e in entries:
+        code = main(list(e["argv"]) + ["--input", str(ROOT / e["problem"]),
+                                       "--json", str(ROOT / e["report"])])
         if code != 0:
-            raise SystemExit(f"{name}: exit {code}")
-        manifest.append({"name": name, "problem": ppath,
-                         "argv": argv, "report": rpath})
-    write_json(ROOT / "manifest.json", {"schema_version": "1",
-                                        "entries": manifest})
-    print(f"wrote {len(PROBLEMS)} problems, {len(manifest)} reports")
+            raise SystemExit(f"{e['name']}: exit {code}")
+    print(f"refreshed {len(entries)} reports")
 
 
 if __name__ == "__main__":
-    build()
+    refresh()

@@ -28,7 +28,7 @@ kind, which the test suite checks identity by identity.
 from __future__ import annotations
 
 from .exactcore import PreconditionError
-from .indices import _adaptive, _euler_obstruction_local, _LocalCurve, ph_index
+from .indices import _adaptive, _euler_obstruction_local, _LocalCurve, _one_branch, ph_index
 
 
 class CurveRecord:
@@ -254,7 +254,7 @@ def complement_of_divisor(curves):
         rec = _make_record(f)
         if rec.key in registry:
             raise PreconditionError("divisor components must be pairwise distinct")
-        if len(rec.branch_summary) != 1 or rec.branch_summary[0][1] != 1:
+        if not _adaptive(rec.curve, _one_branch):
             raise PreconditionError("a divisor component is not an irreducible germ")
         registry[rec.key] = rec
         terms[rec.key] = -a

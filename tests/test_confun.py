@@ -78,8 +78,18 @@ def test_complement_indicator():
 def test_complement_guards():
     with pytest.raises(PreconditionError):
         complement_of_divisor([])
-    with pytest.raises(PreconditionError):
-        complement_of_divisor([(NODE, 1)])
+    # two branches, and one orbit of two conjugate branches over Q(sqrt 2)
+    for f in (NODE, P2("y^2 - 2*x^2")):
+        with pytest.raises(PreconditionError, match="not an irreducible germ"):
+            complement_of_divisor([(f, 1)])
+
+
+def test_complement_expands_each_component_once(localization_counts):
+    # the irreducibility test reads the expansions the record already made
+    checked, expanded = localization_counts
+    complement_of_divisor([(CUSP, 1), (LINE, 2)])
+    assert expanded and max(expanded.values()) == 1, expanded
+    assert max(checked.values()) == 1, checked
 
 
 def test_indicator_basis_round_trip():

@@ -22,11 +22,19 @@ ENTRIES = _manifest()["entries"]
 
 
 def test_manifest_shape():
+    # the problems and manifest are edited by hand, so the manifest must name
+    # every stored file, and every file it names must exist
     m = _manifest()
     assert m["schema_version"] == "1"
     assert len(m["entries"]) >= 50
     names = [e["name"] for e in m["entries"]]
-    assert len(names) == len(set(names))
+    assert names == sorted(set(names))
+    assert [e["report"] for e in m["entries"]] == [f"reports/{n}.json" for n in names]
+    named = {e[k] for e in m["entries"] for k in ("problem", "report")}
+    stored = {p.relative_to(CORPUS).as_posix()
+              for d in ("problems", "reports") for p in (CORPUS / d).iterdir()}
+    assert sorted(stored - named) == []
+    assert sorted(named - stored) == []
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])

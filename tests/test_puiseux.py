@@ -236,9 +236,13 @@ def _branch_records(precisions=(8, 32), count=25):
     ``count`` f of the dual-oracle sample, at each precision: the series,
     multiplicity, conjugacy size, exact flag, field, and the order along the
     branch of the corpus vector field's components or of the sample's g."""
+    # the hash also pins the radial field on the cusp, which no corpus problem
+    # carries; it sorts in among them under its own file name
+    germs = {"cusp_radial.json": {"divisor": "y^2 - x^3", "vector_field": ["x", "y"]}}
+    germs.update((p.name, json.loads(p.read_text()).get("germ", {}))
+                 for p in CORPUS.glob("*.json"))
     cases = []
-    for path in sorted(CORPUS.glob("*.json")):
-        germ = json.loads(path.read_text()).get("germ", {})
+    for germ in (germs[name] for name in sorted(germs)):
         if "divisor" in germ:
             cases.append((P2(germ["divisor"]), [P2(t) for t in germ["vector_field"]]))
     cases += [(f, [g]) for f, g, _, _ in dual_oracle_pairs(count)]

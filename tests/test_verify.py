@@ -21,6 +21,9 @@ DIAG = from_affine(P2("x"), P2("2*y"))
 NOD = from_affine(P2("2*y"), P2("2*x + 3*x^2"))
 CUS = from_affine(P2("2*y"), P2("3*x^2"))
 JOU = from_affine(P2("y^2 - x^3"), P2("1 - x^2*y"))
+# no affine zero: the resultant in y is -x, and at x = 0 both components
+# are nonzero constants, so its one root matches no common zero
+HYP = from_affine(P2("x*y - 1"), P2("x*y - 2"))
 
 
 def _closed(report):
@@ -46,7 +49,7 @@ def test_count_diagonal():
 
 
 def test_count_degree_two():
-    for F in (JOU, NOD, CUS):
+    for F in (JOU, NOD, CUS, HYP):
         r = verify_baum_bott(F)
         assert (r.lhs, r.rhs, r.passed) == (7, 7, True)
         _closed(r)
@@ -152,6 +155,20 @@ def test_total_gsv_cubics():
         r = verify_total_gsv(F, H)
         assert (r.lhs, r.rhs, r.passed) == (3, 3, True)
         _closed(r)
+
+
+def test_divisor_with_a_shared_partial_factor():
+    # in the chart z = 1 both partials of H share the factor
+    # 2*(x^2 + y^2) - 1, a circle off the curve, which the search for the
+    # divisor's singularities divides out
+    rot = from_affine(P2("-y"), P2("x"))
+    H = P3("(x^2 + y^2)*(x^2 + y^2 - z^2)")
+    r = verify_total_gsv(rot, H)
+    assert (r.lhs, r.rhs, r.passed) == (-4, -4, True)
+    _closed(r)
+    r = verify_isolated(rot, H)
+    assert (r.lhs, r.rhs, r.passed) == (7, 7, True)
+    _closed(r)
 
 
 # ------------------------------------------------------------------- guards
